@@ -148,8 +148,6 @@ metrics-demo:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/seq/
-	$(GO) test -fuzz FuzzDecodeTable -fuzztime $(FUZZTIME) ./internal/sketch/
-	$(GO) test -fuzz FuzzDecodeFrozenTable -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzQuerySketch -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzReadIndex -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz FuzzReadTSV -fuzztime $(FUZZTIME) .

@@ -22,7 +22,7 @@ func smallTestOptions() jem.Options {
 // TestShardedFacadeByteIdenticalTSV is the facade-level equivalence
 // acceptance check: the WriteTSV output of sharded mappers is
 // byte-identical to the unsharded one for every shard count, both
-// freshly built and after a save/load round trip through JEMIDX05.
+// freshly built and after a save/load round trip through JEMIDX06.
 func TestShardedFacadeByteIdenticalTSV(t *testing.T) {
 	ds := buildSmallDataset(t)
 	opts := smallTestOptions()
@@ -261,5 +261,54 @@ func TestOpenBuildLoadRebuild(t *testing.T) {
 	}
 	if _, _, err := jem.Open(jem.OpenOptions{}); err == nil {
 		t.Fatal("Open with neither contigs nor index succeeded")
+	}
+}
+
+// TestOpenRebuildsLegacyIndexFormat: an index file in a retired format
+// (JEMIDX02–05) is refused with ErrIndexFormat by the plain load paths,
+// and Open with RebuildOnCorrupt rebuilds it from the contigs — reported
+// as Rebuilt — serving TSV byte-identical to a fresh build.
+func TestOpenRebuildsLegacyIndexFormat(t *testing.T) {
+	ds := buildSmallDataset(t)
+	opts := smallTestOptions()
+	built, err := jem.NewMapper(ds.Contigs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, saved bytes.Buffer
+	if err := jem.WriteTSV(&want, mapAll(built, ds.Reads)); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.SaveIndex(&saved); err != nil {
+		t.Fatal(err)
+	}
+	for _, magic := range []string{"JEMIDX02", "JEMIDX03", "JEMIDX04", "JEMIDX05"} {
+		legacy := append([]byte(magic), saved.Bytes()[8:]...)
+		path := filepath.Join(t.TempDir(), "legacy.idx")
+		if err := os.WriteFile(path, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := jem.LoadMapper(bytes.NewReader(legacy), ds.Contigs); !errors.Is(err, jem.ErrIndexFormat) {
+			t.Fatalf("%s: LoadMapper error = %v, want ErrIndexFormat", magic, err)
+		}
+		if _, _, err := jem.Open(jem.OpenOptions{Contigs: ds.Contigs, IndexPath: path, Options: opts}); !errors.Is(err, jem.ErrIndexFormat) {
+			t.Fatalf("%s: Open error = %v, want ErrIndexFormat", magic, err)
+		}
+		rebuilt, info, err := jem.Open(jem.OpenOptions{
+			Contigs: ds.Contigs, IndexPath: path, RebuildOnCorrupt: true, Options: opts,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", magic, err)
+		}
+		if !info.Rebuilt || info.FromIndex || !errors.Is(info.IndexErr, jem.ErrIndexFormat) {
+			t.Fatalf("%s: rebuild path reported %+v", magic, info)
+		}
+		var got bytes.Buffer
+		if err := jem.WriteTSV(&got, mapAll(rebuilt, ds.Reads)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: rebuilt mapper's TSV differs from a fresh build", magic)
+		}
 	}
 }

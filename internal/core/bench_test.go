@@ -26,6 +26,7 @@ func benchMapper(b *testing.B, nContigs, contigLen int) (*Mapper, []byte) {
 		})
 	}
 	m.AddSubjects(contigs)
+	m.Seal()
 	pos := rng.Intn(len(ref) - p.L)
 	return m, ref[pos : pos+p.L]
 }
@@ -46,16 +47,6 @@ func BenchmarkMapSegmentPositional(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.MapSegmentPositional(seg)
-	}
-}
-
-func BenchmarkMapSegmentFrozen(b *testing.B) {
-	m, seg := benchMapper(b, 500, 3000)
-	m.SetFrozen(m.Table().Freeze())
-	sess := m.NewSession()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess.MapSegment(seg)
 	}
 }
 

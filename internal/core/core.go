@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/seq"
@@ -66,28 +65,24 @@ type SubjectMeta struct {
 
 // Mapper holds the sketch table over a subject set.
 //
-// A mapper starts mutable (subjects can be added) and is sealed by
-// Seal before serving: sealing converts the hash-map table into the
-// cache-friendly frozen sorted-array form that every lookup then uses,
-// and frees the mutable table. The distributed driver reaches the same
-// state through SetFrozen (its frozen table is built by the gather
-// merge instead).
+// A mapper starts mutable (subjects can be added to its hash-map
+// table) and is sealed before serving. Sealing partitions the table
+// into a ShardedFrozen of P cache-friendly sorted-array shards, P=1
+// being the monolithic case, and frees the mutable table. Every query
+// is served from that sharded table, or from a remote fleet installed
+// with SetRemote. The distributed driver reaches the sealed state
+// through SetSharded (its table is built by the gather merge instead).
 type Mapper struct {
 	sk      *sketch.Sketcher
 	table   *sketch.Table
-	frozen  *sketch.FrozenTable
 	sharded *sketch.ShardedFrozen
-	// remote, when non-nil, replaces every local table: queries
+	// remote, when non-nil, replaces the local table: queries
 	// scatter-gather over the wire through it (SetRemote).
 	remote   ShardQuerier
 	subjects []SubjectMeta
-	sealed   bool
 	// met, when non-nil, receives per-query observations from every
 	// session created after EnableMetrics ran.
 	met *Metrics
-	// sessions counts sessions ever issued; once positive, the subject
-	// set must not grow (sessions size their counter arrays to it).
-	sessions atomic.Int32
 }
 
 // NewMapper creates a Mapper with the given sketch parameters.
@@ -103,31 +98,25 @@ func NewMapper(p sketch.Params) (*Mapper, error) {
 // the distributed driver).
 func (m *Mapper) Sketcher() *sketch.Sketcher { return m.sk }
 
-// Table exposes the mutable sketch table (used by the distributed
-// driver's gather step and by table-size statistics). It is nil after
-// Seal, which drops the mutable form in favor of the frozen one.
+// Table exposes the mutable sketch table of an unsealed mapper; it is
+// nil after sealing, which drops the mutable form.
 func (m *Mapper) Table() *sketch.Table { return m.table }
 
-// Frozen exposes the frozen table, nil until Seal or SetFrozen.
-func (m *Mapper) Frozen() *sketch.FrozenTable { return m.frozen }
-
-// SetFrozen installs a frozen (sorted-array) global table; subsequent
-// lookups use it instead of the mutable hash table. The distributed
-// driver builds it straight from the allgathered payloads.
-func (m *Mapper) SetFrozen(ft *sketch.FrozenTable) {
-	if ft == nil && m.table == nil {
-		panic("core: cannot clear the frozen table of a sealed mapper (no mutable table remains)")
+// Frozen returns shard 0 of a one-shard serving table, nil otherwise.
+func (m *Mapper) Frozen() *sketch.FrozenTable {
+	if m.sharded == nil || m.sharded.NumShards() != 1 {
+		return nil
 	}
-	m.frozen = ft
+	return m.sharded.Shard(0)
 }
 
-// Sharded exposes the sharded frozen table, nil unless the mapper
-// serves the sharded backend (SealSharded, SetSharded, or a sharded
-// JEMIDX05/06 index load).
+// Sharded exposes the serving table (P ≥ 1 shards), nil until the
+// mapper is sealed (SealSharded, SetSharded, or an index load) and for
+// a remote mapper.
 func (m *Mapper) Sharded() *sketch.ShardedFrozen { return m.sharded }
 
-// Shards returns the number of serving shards: P for a sharded or
-// remote mapper, 1 for the monolithic table forms.
+// Shards returns the number of serving shards: P for a sealed or
+// remote mapper, 1 for an unsealed one.
 func (m *Mapper) Shards() int {
 	if m.remote != nil {
 		return m.remote.NumShards()
@@ -139,18 +128,15 @@ func (m *Mapper) Shards() int {
 }
 
 // IndexBytes returns the approximate total size of the serving index
-// (the frozen or sharded sketch table's backing arrays), 0 for an
-// unsealed mapper. A serving tier with several indexes resident uses
+// (the sharded sketch table's backing arrays), 0 for an unsealed or
+// remote mapper. A serving tier with several indexes resident uses
 // this for per-index memory accounting. The total counts resident and
 // mapped bytes alike; IndexMemory splits them.
 func (m *Mapper) IndexBytes() int64 {
-	switch {
-	case m.sharded != nil:
-		return m.sharded.MemBytes()
-	case m.frozen != nil:
-		return m.frozen.MemBytes()
+	if m.sharded == nil {
+		return 0
 	}
-	return 0
+	return m.sharded.MemBytes()
 }
 
 // IndexMemory splits IndexBytes into resident (process-private heap)
@@ -158,35 +144,27 @@ func (m *Mapper) IndexBytes() int64 {
 // A heap-loaded index is all resident; an mmap-served one is all
 // mapped; a budgeted open reports both halves.
 func (m *Mapper) IndexMemory() (resident, mapped int64) {
-	switch {
-	case m.sharded != nil:
-		return m.sharded.ResidentBytes(), m.sharded.MappedBytes()
-	case m.frozen != nil:
-		return m.frozen.ResidentBytes(), m.frozen.MappedBytes()
+	if m.sharded == nil {
+		return 0, 0
 	}
-	return 0, 0
+	return m.sharded.ResidentBytes(), m.sharded.MappedBytes()
 }
 
-// SetSharded installs a sharded frozen table; subsequent lookups
-// scatter-gather across its shards. Like SetFrozen it must run before
-// sessions are issued, and clearing the only table of a sealed mapper
-// is rejected.
+// SetSharded installs sf (non-nil) as the serving table and seals the
+// mapper, dropping its mutable table. The distributed driver installs
+// its gathered table this way; it must run before sessions are issued.
 func (m *Mapper) SetSharded(sf *sketch.ShardedFrozen) {
-	if sf == nil && m.table == nil && m.frozen == nil {
-		panic("core: cannot clear the sharded table of a sealed mapper (no other table remains)")
-	}
 	m.sharded = sf
+	m.table = nil
 	m.enableShardMetrics()
 }
 
-// SealSharded is Seal for the sharded serving backend: the mutable
-// table is partitioned into `shards` frozen shards built concurrently
-// (workers ≤0 means GOMAXPROCS), then dropped. Sharded and monolithic
-// sealing produce mappers with byte-identical query results; sharding
-// parallelizes the freeze, the index save/load, and bounds per-shard
-// memory. SealSharded is idempotent on an already-sharded mapper and
-// panics on a mapper sealed with the monolithic table (there is no
-// mutable table left to partition).
+// SealSharded seals the mapper for serving: the mutable table is
+// partitioned into `shards` frozen shards built concurrently (workers
+// ≤0 means GOMAXPROCS), then dropped. Every shard count yields
+// byte-identical query results; more shards parallelize the freeze and
+// the index save/load, and bound per-shard memory. SealSharded is a
+// no-op on an already sealed mapper.
 func (m *Mapper) SealSharded(shards, workers int) {
 	m.SealShardedTraced(shards, workers, nil)
 }
@@ -195,48 +173,26 @@ func (m *Mapper) SealSharded(shards, workers int) {
 // sketch.FreezeShardedTraced); the facade uses it to attach per-shard
 // build spans.
 func (m *Mapper) SealShardedTraced(shards, workers int, trace func(shard int, fn func())) {
-	if m.sealed {
-		if m.sharded != nil {
-			return
-		}
-		panic("core: SealSharded on a mapper already sealed with a monolithic table")
-	}
-	if m.sharded == nil {
-		m.sharded = m.table.FreezeShardedTraced(shards, workers, trace)
-	}
-	m.table = nil
-	m.sealed = true
-	m.enableShardMetrics()
-}
-
-// Seal freezes the mapper for serving: the mutable hash-map table is
-// converted into the frozen sorted-array form (unless SetFrozen
-// already installed one) and then dropped, so every subsequent lookup
-// takes the cache-friendly path. Adding subjects or merging tables
-// after Seal panics. Seal is idempotent.
-func (m *Mapper) Seal() {
-	if m.sealed {
+	if m.Sealed() {
 		return
 	}
-	if m.frozen == nil && m.sharded == nil {
-		m.frozen = m.table.Freeze()
-	}
-	m.table = nil
-	m.sealed = true
+	m.SetSharded(m.table.FreezeShardedTraced(shards, workers, trace))
 }
 
-// Sealed reports whether Seal has run.
-func (m *Mapper) Sealed() bool { return m.sealed }
+// Seal is SealSharded(1, 0): the monolithic serving table is the
+// one-shard case.
+func (m *Mapper) Seal() { m.SealSharded(1, 0) }
 
-// Entries returns the total posting count of the active table (frozen
-// after Seal/SetFrozen, mutable before). A remote mapper reports 0:
-// its postings are resident in the shard servers, not this process.
+// Sealed reports whether the mapper serves queries: it holds a sharded
+// table or a remote backend, and its subject set is fixed.
+func (m *Mapper) Sealed() bool { return m.sharded != nil || m.remote != nil }
+
+// Entries returns the total posting count of the active table (sharded
+// once sealed, mutable before). A remote mapper reports 0: its
+// postings are resident in the shard servers, not this process.
 func (m *Mapper) Entries() int {
 	if m.sharded != nil {
 		return m.sharded.Entries()
-	}
-	if m.frozen != nil {
-		return m.frozen.Entries()
 	}
 	if m.table != nil {
 		return m.table.Entries()
@@ -244,28 +200,14 @@ func (m *Mapper) Entries() int {
 	return 0
 }
 
-// mutationGuard panics when the subject set may no longer grow: after
-// Seal, and after any session has been issued (sessions size their
-// counter arrays to the subject count at creation, so a later
-// out-of-range subject id would corrupt or panic mid-query).
+// mutationGuard panics when the subject set may no longer grow, which
+// is once the mapper is sealed. Sessions exist only on sealed mappers
+// (NewSession enforces it), so no session can see the subject count
+// change under its counter arrays.
 func (m *Mapper) mutationGuard(op string) {
-	if m.sealed {
+	if m.Sealed() {
 		panic(fmt.Sprintf("core: %s on a sealed mapper", op))
 	}
-	if m.sessions.Load() > 0 {
-		panic(fmt.Sprintf("core: %s after sessions were created; the mapper must not gain subjects while sessions exist", op))
-	}
-}
-
-// lookup dispatches to the active table: sharded, frozen, or mutable.
-func (m *Mapper) lookup(t int, w sketch.Word) []sketch.Posting {
-	if m.sharded != nil {
-		return m.sharded.Lookup(t, w)
-	}
-	if m.frozen != nil {
-		return m.frozen.Lookup(t, w)
-	}
-	return m.table.Lookup(t, w)
 }
 
 // NumSubjects returns the number of subjects indexed so far.
@@ -327,20 +269,13 @@ func (m *Mapper) AddSubjectsParallel(contigs []seq.Record, workers int) {
 // RegisterSubjects records subject metadata without sketching,
 // assigning dense ids in input order. The distributed driver uses this
 // on every rank (metadata is small and replicated) while the sketch
-// table itself is built per-rank and merged via MergeTable.
+// table itself is built per rank, gathered, and installed via
+// SetSharded.
 func (m *Mapper) RegisterSubjects(contigs []seq.Record) {
 	m.mutationGuard("RegisterSubjects")
 	for i := range contigs {
 		m.subjects = append(m.subjects, SubjectMeta{Name: contigs[i].ID, Length: int32(len(contigs[i].Seq))})
 	}
-}
-
-// MergeTable folds an externally built per-rank table into the
-// mapper's global table (the union step S3 of Algorithm 2's
-// parallelization).
-func (m *Mapper) MergeTable(tb *sketch.Table) {
-	m.mutationGuard("MergeTable")
-	m.table.Merge(tb)
 }
 
 // Session carries the per-worker lazy-update counter state of §III-C:
@@ -361,25 +296,22 @@ type Session struct {
 	plists  [][]sketch.Posting // per-trial postings of the current query
 	scanned int64              // postings examined across all queries
 
-	// Scatter-gather scratch for the sharded backend: per-shard lazy
-	// counters (same ⟨count, qid⟩ scheme as the global arrays) that a
-	// query's per-shard scans fill independently and the gather step
-	// merges into the global counters. shardTrials groups the query's
-	// T trials by destination shard; shardTouched lists the shards the
-	// current query actually routed to.
-	shards       []shardCounters
+	// Scatter scratch: shardTrials groups the query's T trials by
+	// destination shard; shardTouched lists the shards the current
+	// query routed to, in first-touch order.
 	shardTrials  [][]int32
 	shardTouched []int32
 
-	// Remote scatter-gather scratch: per-shard probe words (parallel to
-	// shardTrials), per-shard RPC results/errors/durations, and the
-	// cumulative set of shards whose queries failed terminally — the
-	// degraded-answer record surfaced through LostShards.
+	// Remote scratch: per-shard probe words (parallel to shardTrials)
+	// and per-shard RPC results/errors/durations.
 	shardWords [][]sketch.Word
 	remoteRes  [][][]sketch.Posting
 	remoteErrs []error
 	remoteDur  []time.Duration
-	lostSet    map[int]struct{}
+
+	// lostSet is the cumulative set of shards that failed terminally —
+	// the degraded-answer record surfaced through LostShards.
+	lostSet map[int]struct{}
 
 	// Per-shard work tallies for request-scoped tracing: postings are
 	// accumulated always (one slice add per touched shard per query —
@@ -405,20 +337,14 @@ type ShardWork struct {
 	Wall     time.Duration
 }
 
-// shardCounters is one shard's lazy-update counter array (§III-C,
-// applied per shard). Arrays are allocated on the shard's first touch.
-type shardCounters struct {
-	count []int32
-	lastq []int32
-	cand  []int32
-}
-
-// NewSession creates a mapping session over the mapper's current
-// subject set. The mapper must not gain subjects while sessions exist
-// (enforced: AddSubjects and friends panic once a session has been
-// issued).
+// NewSession creates a mapping session over the sealed mapper's
+// subject set. It panics on an unsealed mapper: there is no serving
+// table yet, and sealing is what fixes the subject count the session's
+// counter arrays are sized to.
 func (m *Mapper) NewSession() *Session {
-	m.sessions.Add(1)
+	if !m.Sealed() {
+		panic("core: NewSession on an unsealed mapper; call Seal or SealSharded first")
+	}
 	n := len(m.subjects)
 	s := &Session{
 		m:     m,
@@ -509,9 +435,9 @@ func (s *Session) fail(err error) {
 func (s *Session) EnableShardTiming() { s.timeShards = true }
 
 // ShardWork returns a snapshot of the per-shard work this session has
-// done (empty on an unsharded mapper or before the first sharded
-// query). Wall fields are zero unless EnableShardTiming was called
-// before the queries ran.
+// done, one entry per serving shard (empty before the first query).
+// Wall fields are zero unless EnableShardTiming was called before the
+// queries ran.
 func (s *Session) ShardWork() []ShardWork {
 	out := make([]ShardWork, len(s.shardWork))
 	copy(out, s.shardWork)
@@ -548,13 +474,24 @@ func (s *Session) mapSegment(segment []byte) (Hit, bool) {
 	return s.bestCandidate(), true
 }
 
-// scanWords runs the counting pass for one query: each of the T
-// per-trial words is looked up and every posting votes for its subject
-// through the lazy-update counters, leaving the query's candidate set
-// in s.cand/s.count. keepLists additionally records each trial's
-// posting list in s.plists[t] for the positional offset-vote pass.
-// On a sharded mapper the pass scatter-gathers (scanShardedWords);
-// either path leaves identical counter state.
+// scanWords runs the counting pass for one query (Alg. 2 with the
+// lazy-update counters of §III-C). The query's T ⟨trial, word⟩ probes
+// are routed to their shards with ShardOf; each touched shard's
+// posting lists are fetched — from the local shard's frozen table, or
+// by one RPC per shard to a remote fleet — and every posting votes for
+// its subject straight into the global counters, shard by shard in
+// first-touch order. Each posting list lives in exactly one shard, so
+// the counts, the candidate order and PostingsScanned are the same for
+// every shard count and backend. keepLists additionally records each
+// trial's posting list in s.plists[t] for the positional offset-vote
+// pass.
+//
+// The degraded-answer policy lives here: a shard that fails — a lazy
+// shard whose fault-in verification failed (also latched in Err), or
+// a remote shard whose retry/hedge budget ran out (see
+// shardnet.ShardError) — contributes nothing to the query. Its id joins
+// the session's lost set, the query completes on the surviving shards,
+// and the caller reads the damage via LostShards.
 //
 //jem:hotpath
 func (s *Session) scanWords(words []sketch.Word, keepLists bool) {
@@ -569,52 +506,13 @@ func (s *Session) scanWords(words []sketch.Word, keepLists bool) {
 	} else {
 		s.plists = s.plists[:0]
 	}
-	if q := s.m.remote; q != nil {
-		s.scanRemoteWords(q, words, keepLists)
-		return
-	}
-	if sf := s.m.sharded; sf != nil && sf.NumShards() > 1 {
-		s.scanShardedWords(sf, words, keepLists)
-		return
-	}
-	for t, w := range words {
-		ps := s.m.lookup(t, w)
-		if keepLists {
-			s.plists[t] = ps
-		}
-		s.scanned += int64(len(ps))
-		for _, p := range ps {
-			subj := p.Subject
-			if s.lastq[subj] != qid {
-				s.lastq[subj] = qid
-				s.count[subj] = 0
-				s.cand = append(s.cand, subj)
-			}
-			s.count[subj]++
-		}
-	}
-}
-
-// scanShardedWords is the scatter-gather counting pass: the query's T
-// ⟨trial, word⟩ probes are grouped by destination shard, each touched
-// shard is scanned with its own lazy-update counters, and the gather
-// step folds the per-shard counts into the global counters. Because
-// every posting list lives in exactly one shard, the merged counts are
-// identical to a monolithic scan's, and the best-hit selection over
-// them is order-independent — so sharded and unsharded mapping results
-// are byte-identical for any shard count.
-//
-//jem:hotpath
-func (s *Session) scanShardedWords(sf *sketch.ShardedFrozen, words []sketch.Word, keepLists bool) {
-	p := sf.NumShards()
+	q, sf := s.m.remote, s.m.sharded
+	p := s.m.Shards()
 	if len(s.shardTrials) < p {
 		s.shardTrials = make([][]int32, p)
-	}
-	if len(s.shardWork) < p {
 		s.shardWork = make([]ShardWork, p)
 	}
 	touched := s.shardTouched[:0]
-	// Scatter: route each trial's probe to the shard owning its word.
 	for t, w := range words {
 		sd := sketch.ShardOf(t, w, p)
 		if len(s.shardTrials[sd]) == 0 {
@@ -622,165 +520,48 @@ func (s *Session) scanShardedWords(sf *sketch.ShardedFrozen, words []sketch.Word
 		}
 		s.shardTrials[sd] = append(s.shardTrials[sd], int32(t))
 	}
-	qid := s.qid
-	// Per-shard scans: each shard's probes run against that shard's
-	// frozen table only, counting into the shard's own lazy counters.
-	// When shard timing is on, one clock read per shard boundary
-	// attributes the scan wall to the shard that just finished.
+	if q != nil {
+		s.queryRemote(q, words, touched)
+	}
+	// With shard timing on, a local scan reads the clock once per
+	// shard boundary; a remote shard's wall is its RPC round trip.
 	var prevClock time.Time
-	if s.timeShards {
+	if s.timeShards && q == nil {
 		prevClock = time.Now()
 	}
 	for _, sd32 := range touched {
 		sd := int(sd32)
-		sc := s.shardCounter(sd)
-		sc.cand = sc.cand[:0]
-		ft, lerr := sf.ShardChecked(sd)
-		if lerr != nil {
-			// A lazy shard failed its fault-in verification. Latch the
-			// error, drop the shard's probes (clearing any stale posting
-			// lists the offset-vote pass would otherwise reuse), and let
-			// the query complete degraded — same shape as a lost remote
-			// shard.
-			s.fail(lerr)
-			s.noteLostShard(sd)
-			if keepLists {
-				for _, t32 := range s.shardTrials[sd] {
-					s.plists[t32] = nil
-				}
-			}
-			s.shardTrials[sd] = s.shardTrials[sd][:0]
-			continue
+		trials := s.shardTrials[sd]
+		s.shardTrials[sd] = trials[:0]
+		var ft *sketch.FrozenTable
+		var lists [][]sketch.Posting
+		var err error
+		if q != nil {
+			lists, err = s.remoteRes[sd], s.remoteErrs[sd]
+			s.remoteRes[sd] = nil
+		} else if ft, err = sf.ShardChecked(sd); err != nil {
+			s.fail(err)
 		}
-		var scanned int64
-		for _, t32 := range s.shardTrials[sd] {
-			t := int(t32)
-			ps := ft.Lookup(t, words[t])
-			if keepLists {
-				s.plists[t] = ps
-			}
-			scanned += int64(len(ps))
-			for _, p := range ps {
-				subj := p.Subject
-				if sc.lastq[subj] != qid {
-					sc.lastq[subj] = qid
-					sc.count[subj] = 0
-					sc.cand = append(sc.cand, subj)
-				}
-				sc.count[subj]++
-			}
-		}
-		s.scanned += scanned
-		s.shardWork[sd].Postings += scanned
-		if s.timeShards {
-			now := time.Now()
-			s.shardWork[sd].Wall += now.Sub(prevClock)
-			prevClock = now
-		}
-		if s.met != nil {
-			s.met.observeShard(sd, scanned)
-		}
-		s.shardTrials[sd] = s.shardTrials[sd][:0]
-	}
-	// Gather: merge per-shard counts into the global counter array.
-	for _, sd32 := range touched {
-		sc := &s.shards[sd32]
-		for _, subj := range sc.cand {
-			if s.lastq[subj] != qid {
-				s.lastq[subj] = qid
-				s.count[subj] = 0
-				s.cand = append(s.cand, subj)
-			}
-			s.count[subj] += sc.count[subj]
-		}
-	}
-	s.shardTouched = touched[:0]
-}
-
-// scanRemoteWords is the counting pass over a remote fleet: probes
-// are grouped per shard by the same ShardOf routing as the local
-// sharded path, each touched shard's batch goes out as one RPC (fanned
-// out concurrently when several shards are touched), and the replies
-// are merged into the global counters in touched order. Because the
-// probes, the per-shard posting lists, and the merge order all match
-// scanShardedWords exactly, a healthy fleet yields byte-identical
-// results — including PostingsScanned — to the local sharded backend.
-//
-// The degraded-answer policy lives here: a shard whose query fails
-// terminally (every retry/hedge attempt exhausted — see
-// shardnet.ShardError) contributes nothing to this query. Its id is
-// recorded in the session's lost set, the query completes with the
-// surviving shards, and the caller reads the damage via LostShards.
-func (s *Session) scanRemoteWords(q ShardQuerier, words []sketch.Word, keepLists bool) {
-	p := q.NumShards()
-	if len(s.shardTrials) < p {
-		s.shardTrials = make([][]int32, p)
-	}
-	if len(s.shardWords) < p {
-		s.shardWords = make([][]sketch.Word, p)
-	}
-	if len(s.shardWork) < p {
-		s.shardWork = make([]ShardWork, p)
-	}
-	if len(s.remoteRes) < p {
-		s.remoteRes = make([][][]sketch.Posting, p)
-		s.remoteErrs = make([]error, p)
-		s.remoteDur = make([]time.Duration, p)
-	}
-	touched := s.shardTouched[:0]
-	// Scatter: route each trial's probe to the shard owning its word.
-	for t, w := range words {
-		sd := sketch.ShardOf(t, w, p)
-		if len(s.shardTrials[sd]) == 0 {
-			touched = append(touched, int32(sd))
-		}
-		s.shardTrials[sd] = append(s.shardTrials[sd], int32(t))
-		s.shardWords[sd] = append(s.shardWords[sd], w)
-	}
-	ctx := s.context()
-	// Fan out one RPC per touched shard. A single-shard query runs
-	// inline; multi-shard queries overlap their network waits.
-	if len(touched) == 1 {
-		sd := int(touched[0])
-		s.remoteRes[sd], s.remoteDur[sd], s.remoteErrs[sd] = s.queryRemoteShard(ctx, q, sd)
-	} else {
-		var wg sync.WaitGroup
-		for _, sd32 := range touched {
-			sd := int(sd32)
-			wg.Add(1)
-			go func(sd int) {
-				defer wg.Done()
-				s.remoteRes[sd], s.remoteDur[sd], s.remoteErrs[sd] = s.queryRemoteShard(ctx, q, sd)
-			}(sd)
-		}
-		wg.Wait()
-	}
-	qid := s.qid
-	// Gather: merge each shard's reply in touched order, counting
-	// straight into the global counters (per-probe order inside a shard
-	// matches the local per-shard scan, so the candidate set comes out
-	// in the same order the local gather step produces).
-	for _, sd32 := range touched {
-		sd := int(sd32)
-		lists, err := s.remoteRes[sd], s.remoteErrs[sd]
-		s.remoteRes[sd] = nil
 		if err != nil {
 			s.noteLostShard(sd)
 			if keepLists {
 				// plists is reused across queries; a lost shard's trials
 				// must not leak the previous query's posting lists into
 				// this one's offset-vote pass.
-				for _, t32 := range s.shardTrials[sd] {
+				for _, t32 := range trials {
 					s.plists[t32] = nil
 				}
 			}
-			s.shardTrials[sd] = s.shardTrials[sd][:0]
-			s.shardWords[sd] = s.shardWords[sd][:0]
 			continue
 		}
 		var scanned int64
-		for i, t32 := range s.shardTrials[sd] {
-			ps := lists[i]
+		for i, t32 := range trials {
+			var ps []sketch.Posting
+			if ft != nil {
+				ps = ft.Lookup(int(t32), words[t32])
+			} else {
+				ps = lists[i]
+			}
 			if keepLists {
 				s.plists[t32] = ps
 			}
@@ -798,15 +579,56 @@ func (s *Session) scanRemoteWords(q ShardQuerier, words []sketch.Word, keepLists
 		s.scanned += scanned
 		s.shardWork[sd].Postings += scanned
 		if s.timeShards {
-			s.shardWork[sd].Wall += s.remoteDur[sd]
+			if q != nil {
+				s.shardWork[sd].Wall += s.remoteDur[sd]
+			} else {
+				now := time.Now()
+				s.shardWork[sd].Wall += now.Sub(prevClock)
+				prevClock = now
+			}
 		}
 		if s.met != nil {
 			s.met.observeShard(sd, scanned)
 		}
-		s.shardTrials[sd] = s.shardTrials[sd][:0]
-		s.shardWords[sd] = s.shardWords[sd][:0]
 	}
 	s.shardTouched = touched[:0]
+}
+
+// queryRemote resolves every touched shard's probe batch over the
+// fleet, one RPC per shard: inline when the query touched a single
+// shard, fanned out concurrently otherwise so the network waits
+// overlap. Each shard's lists, error and round-trip wall land in the
+// session's remote scratch for scanWords to count. The fan-out needs a
+// closure, which is why it lives outside the hot-path scan loop.
+func (s *Session) queryRemote(q ShardQuerier, words []sketch.Word, touched []int32) {
+	if p := q.NumShards(); len(s.remoteRes) < p {
+		s.shardWords = make([][]sketch.Word, p)
+		s.remoteRes = make([][][]sketch.Posting, p)
+		s.remoteErrs = make([]error, p)
+		s.remoteDur = make([]time.Duration, p)
+	}
+	for _, sd := range touched {
+		ws := s.shardWords[sd][:0]
+		for _, t32 := range s.shardTrials[sd] {
+			ws = append(ws, words[t32])
+		}
+		s.shardWords[sd] = ws
+	}
+	ctx := s.context()
+	if len(touched) == 1 {
+		sd := int(touched[0])
+		s.remoteRes[sd], s.remoteDur[sd], s.remoteErrs[sd] = s.queryRemoteShard(ctx, q, sd)
+		return
+	}
+	var wg sync.WaitGroup
+	for _, sd32 := range touched {
+		wg.Add(1)
+		go func(sd int) {
+			defer wg.Done()
+			s.remoteRes[sd], s.remoteDur[sd], s.remoteErrs[sd] = s.queryRemoteShard(ctx, q, sd)
+		}(int(sd32))
+	}
+	wg.Wait()
 }
 
 // queryRemoteShard runs one shard's RPC, timing it when shard timing
@@ -831,28 +653,9 @@ func (s *Session) noteLostShard(sd int) {
 	s.lostSet[sd] = struct{}{}
 }
 
-// shardCounter returns shard sd's counter set, allocating the arrays
-// on the shard's first touch by this session.
-func (s *Session) shardCounter(sd int) *shardCounters {
-	if len(s.shards) == 0 {
-		s.shards = make([]shardCounters, s.m.sharded.NumShards())
-	}
-	sc := &s.shards[sd]
-	if sc.lastq == nil {
-		n := len(s.m.subjects)
-		sc.count = make([]int32, n)
-		sc.lastq = make([]int32, n)
-		for i := range sc.lastq {
-			sc.lastq[i] = -1
-		}
-	}
-	return sc
-}
-
 // bestCandidate picks the winner from the current query's candidate
 // set: highest count, ties toward the lower subject id — a choice
-// independent of candidate order, which keeps sharded and unsharded
-// scans byte-identical.
+// independent of candidate order.
 //
 //jem:hotpath
 func (s *Session) bestCandidate() Hit {

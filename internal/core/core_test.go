@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -28,7 +29,7 @@ func smallParams() sketch.Params {
 // makeWorld builds a toy reference, carves contigs from it, and
 // samples error-free reads so every segment has an unambiguous best
 // contig.
-func makeWorld(t *testing.T, rng *rand.Rand, refLen, contigLen, nReads int) (ref []byte, contigs []seq.Record, reads []seq.Record, origin []int) {
+func makeWorld(t testing.TB, rng *rand.Rand, refLen, contigLen, nReads int) (ref []byte, contigs []seq.Record, reads []seq.Record, origin []int) {
 	t.Helper()
 	ref = randDNA(rng, refLen)
 	for pos := 0; pos+contigLen <= refLen; pos += contigLen {
@@ -81,6 +82,7 @@ func TestMapSegmentFindsOriginContig(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.AddSubjects(contigs)
+	m.Seal()
 	sess := m.NewSession()
 	correct := 0
 	for i, r := range reads {
@@ -102,6 +104,7 @@ func TestMapSegmentFindsOriginContig(t *testing.T) {
 func TestMapSegmentNoSketch(t *testing.T) {
 	m, _ := NewMapper(smallParams())
 	m.AddSubjects([]seq.Record{{ID: "c", Seq: []byte("ACGTACGTACGTACGTACGTACGTACGT")}})
+	m.Seal()
 	sess := m.NewSession()
 	if _, ok := sess.MapSegment([]byte("ACG")); ok {
 		t.Error("too-short segment should not map")
@@ -113,6 +116,7 @@ func TestMapSegmentNoSketch(t *testing.T) {
 
 func TestMapSegmentNoSubjects(t *testing.T) {
 	m, _ := NewMapper(smallParams())
+	m.Seal()
 	sess := m.NewSession()
 	rng := rand.New(rand.NewSource(1))
 	if _, ok := sess.MapSegment(randDNA(rng, 200)); ok {
@@ -131,26 +135,13 @@ func TestLazyCountersMatchMapCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.AddSubjects(contigs)
+	m.Seal()
+	ref := newAlg2Oracle(t, contigs)
 	sess := m.NewSession()
 	for _, r := range reads {
 		seg := r.Seq[:p.L]
 		got, gotOK := sess.MapSegment(seg)
-
-		// Naive recount.
-		words := m.Sketcher().QuerySketch(seg)
-		counts := map[int32]int32{}
-		for tr, w := range words {
-			for _, p := range m.Table().Lookup(tr, w) {
-				counts[p.Subject]++
-			}
-		}
-		want := Hit{Subject: -1}
-		for subj, c := range counts {
-			if c > want.Count || (c == want.Count && subj < want.Subject) {
-				want = Hit{Subject: subj, Count: c}
-			}
-		}
-		wantOK := len(counts) > 0
+		want, wantOK := ref.best(seg)
 		if gotOK != wantOK || (gotOK && got != want) {
 			t.Fatalf("lazy %v,%v != naive %v,%v", got, gotOK, want, wantOK)
 		}
@@ -163,6 +154,7 @@ func TestMapSegmentTopK(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	sess := m.NewSession()
 	for _, r := range reads {
 		seg := r.Seq[:p.L]
@@ -208,6 +200,8 @@ func TestAddSubjectsParallelMatchesSequential(t *testing.T) {
 	if seqM.Table().Entries() != parM.Table().Entries() {
 		t.Fatalf("table entries differ: %d vs %d", seqM.Table().Entries(), parM.Table().Entries())
 	}
+	seqM.Seal()
+	parM.Seal()
 	// Same mapping decisions.
 	s1, s2 := seqM.NewSession(), parM.NewSession()
 	for i := 0; i < 30; i++ {
@@ -226,6 +220,7 @@ func TestMapReadsDeterministicOrder(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	r1 := m.MapReads(reads, p.L, 1)
 	r2 := m.MapReads(reads, p.L, 4)
 	if !reflect.DeepEqual(r1, r2) {
@@ -249,6 +244,7 @@ func TestMapSegmentsMatchesMapReads(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	results := m.MapReads(reads, p.L, 2)
 	var segments [][]byte
 	for _, r := range reads {
@@ -266,7 +262,11 @@ func TestMapSegmentsMatchesMapReads(t *testing.T) {
 	}
 }
 
-func TestRegisterSubjectsAndMergeTableEquivalence(t *testing.T) {
+// TestRegisterSubjectsAndSetShardedEquivalence: the distributed build
+// path — subject metadata registered up front, per-rank tables built
+// separately, gathered by FreezePayloads and installed with SetSharded
+// — maps exactly like a mapper that sketched every subject itself.
+func TestRegisterSubjectsAndSetShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var contigs []seq.Record
 	for i := 0; i < 20; i++ {
@@ -275,24 +275,44 @@ func TestRegisterSubjectsAndMergeTableEquivalence(t *testing.T) {
 	p := smallParams()
 	direct, _ := NewMapper(p)
 	direct.AddSubjects(contigs)
+	direct.Seal()
 
 	split, _ := NewMapper(p)
 	split.RegisterSubjects(contigs)
-	// Build two partial tables as two "ranks" would.
-	t1 := sketch.NewTable(p.T)
-	t2 := sketch.NewTable(p.T)
-	for i := range contigs {
-		tbl := t1
-		if i >= 10 {
-			tbl = t2
+	// Build two partial tables as two "ranks" would, then gather them.
+	var payloads [][]byte
+	for _, part := range [][]seq.Record{contigs[:10], contigs[10:]} {
+		tbl := sketch.NewTable(p.T)
+		for _, c := range part {
+			id := int32(len(payloads) * 10)
+			for i := range part {
+				if part[i].ID == c.ID {
+					id += int32(i)
+				}
+			}
+			tbl.Insert(id, split.Sketcher().SubjectSketch(c.Seq))
 		}
-		tbl.Insert(int32(i), split.Sketcher().SubjectSketch(contigs[i].Seq))
+		var buf bytes.Buffer
+		if err := tbl.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, buf.Bytes())
 	}
-	split.MergeTable(t1)
-	split.MergeTable(t2)
+	ft, err := sketch.FreezePayloads(p.T, payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := sketch.NewShardedFrozen([]*sketch.FrozenTable{ft})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split.SetSharded(sf)
+	if !split.Sealed() || split.Table() != nil || split.Shards() != 1 {
+		t.Fatalf("SetSharded left sealed=%v table=%v shards=%d", split.Sealed(), split.Table() != nil, split.Shards())
+	}
 
-	if direct.Table().Entries() != split.Table().Entries() {
-		t.Fatalf("entries differ: %d vs %d", direct.Table().Entries(), split.Table().Entries())
+	if direct.Entries() != split.Entries() {
+		t.Fatalf("entries differ: %d vs %d", direct.Entries(), split.Entries())
 	}
 	s1, s2 := direct.NewSession(), split.NewSession()
 	for i := 0; i < 40; i++ {
@@ -300,38 +320,8 @@ func TestRegisterSubjectsAndMergeTableEquivalence(t *testing.T) {
 		h1, ok1 := s1.MapSegment(seg)
 		h2, ok2 := s2.MapSegment(seg)
 		if ok1 != ok2 || h1 != h2 {
-			t.Fatalf("mapping differs after merge: %v vs %v", h1, h2)
+			t.Fatalf("mapping differs after gather: %v vs %v", h1, h2)
 		}
-	}
-}
-
-func TestSetFrozenDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	_, contigs, reads, _ := makeWorld(t, rng, 10_000, 500, 5)
-	p := smallParams()
-	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
-	sess := m.NewSession()
-	seg := reads[0].Seq[:p.L]
-	if _, ok := sess.MapSegment(seg); !ok {
-		t.Fatal("baseline mapping failed")
-	}
-	// Freeze the real table: results must not change.
-	m.SetFrozen(m.Table().Freeze())
-	frozenSess := m.NewSession()
-	h1, ok1 := frozenSess.MapSegment(seg)
-	m.SetFrozen(nil) // back to the hash table
-	hashSess := m.NewSession()
-	h2, ok2 := hashSess.MapSegment(seg)
-	if ok1 != ok2 || h1 != h2 {
-		t.Fatalf("frozen %v,%v != hash %v,%v", h1, ok1, h2, ok2)
-	}
-	// An empty frozen table must shadow the hash table (proves the
-	// dispatch actually switches).
-	m.SetFrozen(sketch.NewTable(p.T).Freeze())
-	emptySess := m.NewSession()
-	if _, ok := emptySess.MapSegment(seg); ok {
-		t.Error("empty frozen table still produced hits")
 	}
 }
 
@@ -341,6 +331,7 @@ func TestMapReadsTimedReportsDuration(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	results, d := m.MapReadsTimed(reads, p.L, 1)
 	if len(results) != 2*len(reads) {
 		t.Errorf("got %d results", len(results))
@@ -376,6 +367,7 @@ func TestMapSegmentPositionalEstimatesLocation(t *testing.T) {
 	p := sketch.Params{K: 12, W: 4, T: 8, L: 200, Seed: 3}
 	m, _ := NewMapper(p)
 	m.AddSubjects([]seq.Record{{ID: "c", Seq: contig}})
+	m.Seal()
 	sess := m.NewSession()
 	for trial := 0; trial < 20; trial++ {
 		pos := rng.Intn(len(contig) - p.L)
@@ -403,6 +395,7 @@ func TestMapSegmentPositionalAgreesWithPlain(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	plain := m.NewSession()
 	positional := m.NewSession()
 	for _, r := range reads {
@@ -432,6 +425,7 @@ func TestMapReadTiledFindsContainedContig(t *testing.T) {
 		{ID: "mid", Seq: contained},
 		{ID: "right", Seq: flankB},
 	})
+	m.Seal()
 	sess := m.NewSession()
 
 	// End segments see only the flanks.
@@ -461,6 +455,7 @@ func TestMapReadTiledStrideAndBounds(t *testing.T) {
 	contig := randDNA(rng, 3000)
 	m, _ := NewMapper(p)
 	m.AddSubjects([]seq.Record{{ID: "c", Seq: contig}})
+	m.Seal()
 	sess := m.NewSession()
 	tiles := sess.MapReadTiled(contig, p.L, p.L/2)
 	if len(tiles) == 0 {
@@ -502,6 +497,7 @@ func TestBestHitAgreesWithBruteForceJaccard(t *testing.T) {
 	}
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	sess := m.NewSession()
 
 	agree, total := 0, 0
@@ -547,6 +543,7 @@ func TestSessionQueryIDIsolation(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		segA := randDNA(r, p.L)
@@ -563,24 +560,21 @@ func TestSessionQueryIDIsolation(t *testing.T) {
 	}
 }
 
-// TestSealedMapperMatchesMutable pins the tentpole invariant: sealing
-// a mapper (freezing its table in memory and dropping the hash form)
-// must not change a single mapping decision.
+// TestSealedMapperMatchesMutable pins the sealing invariant: freezing
+// the table in memory and dropping the hash form must not change a
+// single mapping decision of the mutable table's map-counting
+// reference.
 func TestSealedMapperMatchesMutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	_, contigs, reads, _ := makeWorld(t, rng, 24_000, 600, 15)
 	p := smallParams()
-	mut, err := NewMapper(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut.AddSubjects(contigs)
+	ref := newAlg2Oracle(t, contigs)
 	sealed, err := NewMapper(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sealed.AddSubjects(contigs)
-	wantEntries := mut.Table().Entries()
+	wantEntries := sealed.Table().Entries()
 
 	sealed.Seal()
 	sealed.Seal() // idempotent
@@ -590,25 +584,22 @@ func TestSealedMapperMatchesMutable(t *testing.T) {
 	if sealed.Table() != nil {
 		t.Fatal("sealed mapper still holds its mutable table")
 	}
-	if sealed.Frozen() == nil {
-		t.Fatal("sealed mapper has no frozen table")
+	if sealed.Shards() != 1 || sealed.Frozen() == nil || sealed.Frozen() != sealed.Sharded().Shard(0) {
+		t.Fatalf("Seal did not yield a one-shard table: %d shards", sealed.Shards())
 	}
 	if sealed.Entries() != wantEntries {
 		t.Fatalf("sealing changed entry count: %d != %d", sealed.Entries(), wantEntries)
 	}
 
-	r1 := mut.MapReads(reads, p.L, 2)
-	r2 := sealed.MapReads(reads, p.L, 2)
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatal("sealed mapper maps reads differently from mutable mapper")
+	if !reflect.DeepEqual(sealed.MapReads(reads, p.L, 2), ref.mapReads(reads, p.L)) {
+		t.Fatal("sealed mapper maps reads differently from the mutable table")
 	}
-	s1, s2 := mut.NewSession(), sealed.NewSession()
+	sess := sealed.NewSession()
 	for i := 0; i < 40; i++ {
 		seg := randDNA(rng, p.L)
-		h1, ok1 := s1.MapSegmentPositional(seg)
-		h2, ok2 := s2.MapSegmentPositional(seg)
-		if ok1 != ok2 || h1 != h2 {
-			t.Fatalf("positional segment %d: %v,%v != %v,%v", i, h1, ok1, h2, ok2)
+		want, wantOK := ref.best(seg)
+		if ph, ok := sess.MapSegmentPositional(seg); ok != wantOK || (ok && ph.Hit != want) {
+			t.Fatalf("positional segment %d: %v,%v != %v,%v", i, ph.Hit, ok, want, wantOK)
 		}
 	}
 }
@@ -635,26 +626,33 @@ func TestSealedMapperPanicsOnMutation(t *testing.T) {
 	mustPanic("AddSubjects", func() { m.AddSubjects(contigs) })
 	mustPanic("AddSubjectsParallel", func() { m.AddSubjectsParallel(contigs, 2) })
 	mustPanic("RegisterSubjects", func() { m.RegisterSubjects(contigs) })
-	mustPanic("MergeTable", func() { m.MergeTable(sketch.NewTable(p.T)) })
 }
 
 // TestMutationAfterSessionPanics: sessions snapshot nothing — they
-// read the live table — so growing the subject set once any session
-// exists is a data race by construction and must panic loudly.
+// read the live table and size their counters to the subject count —
+// so a session may exist only once the subject set is fixed. NewSession
+// on an unsealed mapper panics loudly, and once a sealed mapper has
+// issued a session, growing its subject set panics too.
 func TestMutationAfterSessionPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	contigs := []seq.Record{{ID: "c0", Seq: randDNA(rng, 600)}}
 	m, _ := NewMapper(smallParams())
 	m.AddSubjects(contigs)
+	func() {
+		defer func() {
+			r := recover()
+			msg, ok := r.(string)
+			if !ok || !strings.Contains(msg, "NewSession on an unsealed mapper") {
+				t.Fatalf("NewSession on an unsealed mapper: panic value %v", r)
+			}
+		}()
+		_ = m.NewSession()
+	}()
+	m.Seal()
 	_ = m.NewSession()
 	defer func() {
-		r := recover()
-		if r == nil {
+		if recover() == nil {
 			t.Fatal("AddSubjects after NewSession did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "must not gain subjects while sessions exist") {
-			t.Fatalf("unexpected panic value: %v", r)
 		}
 	}()
 	m.AddSubjects(contigs)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,34 +13,19 @@ import (
 	"repro/internal/fault"
 	"repro/internal/minimizer"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/sketch"
 )
 
-// Index format magics. JEMIDX06 is the out-of-core sharded layout: the
-// JEMIDX05-style CRC-footed manifest additionally records a page size
-// and a per-shard absolute file offset, every shard payload is
+// indexMagic opens every index file: JEMIDX06, the out-of-core
+// sharded layout (see index06.go). A CRC-footed manifest records the
+// sketch parameters, subject metadata, a page size and a per-shard
+// file offset, length and checksum; every shard payload is
 // page-aligned and encoded in the flat (offset-table) frozen layout,
-// so shards can be served directly from a read-only mmap of the index
-// file — zero-copy, faulted in per shard, pages shared across
-// processes. JEMIDX05 is the prior sharded layout: the same manifest
-// without offsets, followed by the concatenated per-shard streaming
-// payloads, so shards verify and decode in parallel and a load can
-// pinpoint WHICH shard is corrupt. JEMIDX04 appends a CRC32 (IEEE)
-// footer over everything before it (magic + body), so on-disk
-// corruption — a flipped bit, a truncated tail, a partial overwrite —
-// is detected at load time instead of silently serving wrong mappings.
-// JEMIDX03 added the table-kind byte after the subject metadata so a
-// sealed mapper serializes its frozen sorted-array table directly;
-// JEMIDX02 bodies are the mutable-table encoding with no kind byte.
-// Every older format remains readable (03/02 without checksum
-// protection); sealed mappers write JEMIDX06.
+// so shards can be served directly from a read-only mmap of the file
+// — zero-copy, faulted in per shard, pages shared across processes.
+// A one-shard file is the monolithic index.
 var (
-	indexMagicV6      = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '6'}
-	indexMagicV5      = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '5'}
-	indexMagic        = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '4'}
-	indexMagicV3      = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '3'}
-	indexMagicLegacy  = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '2'}
+	indexMagic        = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '6'}
 	errIndexTruncated = errors.New("core: index truncated: missing checksum footer")
 )
 
@@ -50,49 +34,52 @@ var (
 // corrupt length fails at EOF rather than driving a giant allocation.
 const maxShardPayload = 1 << 36
 
-// ErrIndexChecksum marks a JEMIDX04 index whose body does not match
-// its checksum footer — the file was corrupted after it was written.
-// Callers holding the original contigs can detect this with errors.Is
-// and rebuild the index from scratch.
+// ErrIndexChecksum marks an index whose manifest or shard payload does
+// not match its checksum — the file was corrupted after it was
+// written. Callers holding the original contigs can detect this with
+// errors.Is and rebuild the index from scratch.
 var ErrIndexChecksum = errors.New("core: index checksum mismatch")
 
-// Table-kind byte values in a JEMIDX03+ body.
-const (
-	tableKindMutable = 0 // sketch.Table.Encode format
-	tableKindFrozen  = 1 // sketch.FrozenTable.Encode format
-)
+// ErrIndexFormat marks an index written in a retired format: the
+// pre-JEMIDX06 layouts JEMIDX02–05, which this build no longer reads.
+// Callers holding the original contigs recover as for
+// ErrIndexChecksum, by rebuilding the index.
+var ErrIndexFormat = errors.New("core: unsupported index format")
 
-// WriteIndex serializes the mapper — sketch parameters, subject
-// metadata and the ACTIVE sketch table — so an index built once can be
-// reused across runs (jem-mapper -save-index / -load-index). A sealed
-// mapper (frozen or sharded table) writes the JEMIDX06 out-of-core
-// layout: page-aligned flat shard payloads a reader can serve straight
-// from a read-only mmap. An unsealed mapper writes its mutable hash
-// table in the JEMIDX04 layout. Both formats are little-endian binary,
-// stable across platforms, and checksum-protected.
-func (m *Mapper) WriteIndex(w io.Writer) error {
-	if m.sharded != nil || m.frozen != nil {
-		return m.writeIndex06(w)
+// readMagic consumes and checks an index file's 8-byte magic: JEMIDX06
+// passes, a retired JEMIDX02–05 magic fails with ErrIndexFormat, and
+// anything else is not an index.
+func readMagic(r io.Reader) error {
+	var magic [8]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return fmt.Errorf("core: reading index magic: %w", err)
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	// Everything except the footer itself feeds the checksum; the
-	// MultiWriter keeps hashing off the encoder code paths entirely.
-	h := crc32.NewIEEE()
-	hw := io.MultiWriter(bw, h)
-	if _, err := hw.Write(indexMagic[:]); err != nil {
-		return err
+	switch {
+	case magic == indexMagic:
+		return nil
+	case string(magic[:7]) == "JEMIDX0" && magic[7] >= '2' && magic[7] <= '5':
+		return fmt.Errorf("%w: %q predates JEMIDX06; rebuild the index from its contigs", ErrIndexFormat, magic[:])
+	default:
+		return fmt.Errorf("core: not a JEM index (magic %q)", magic[:])
 	}
-	if err := m.writeIndexBody(hw); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
-// writeIndexMeta encodes the params and subject metadata shared by the
-// JEMIDX04 body and the JEMIDX05 manifest.
+// WriteIndex serializes a sealed mapper — sketch parameters, subject
+// metadata and its sharded table — in the JEMIDX06 layout, so an index
+// built once can be reused across runs (jem-mapper -save-index /
+// -load-index). The format is little-endian binary, stable across
+// platforms, and checksum-protected. An unsealed mapper has no serving
+// table to write and fails, as does a remote one (its postings live in
+// the shard servers).
+func (m *Mapper) WriteIndex(w io.Writer) error {
+	if m.sharded == nil {
+		return fmt.Errorf("core: WriteIndex needs a sealed mapper with a local table; seal it first")
+	}
+	return m.writeIndex06(w)
+}
+
+// writeIndexMeta encodes the params and subject metadata at the head
+// of the JEMIDX06 manifest.
 func (m *Mapper) writeIndexMeta(w io.Writer) error {
 	p := m.sk.Params()
 	for _, v := range []uint64{
@@ -118,85 +105,6 @@ func (m *Mapper) writeIndexMeta(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// writeIndexBody encodes params, subject metadata, table-kind byte and
-// the active table — the checksummed payload between magic and footer.
-func (m *Mapper) writeIndexBody(w io.Writer) error {
-	if err := m.writeIndexMeta(w); err != nil {
-		return err
-	}
-	if m.frozen != nil {
-		if _, err := w.Write([]byte{tableKindFrozen}); err != nil {
-			return err
-		}
-		return m.frozen.Encode(w)
-	}
-	if _, err := w.Write([]byte{tableKindMutable}); err != nil {
-		return err
-	}
-	return m.table.Encode(w)
-}
-
-// writeShardedIndexV5 emits the JEMIDX05 layout:
-//
-//	magic "JEMIDX05"
-//	manifest: params (6×u64), subjects, shard count (u32),
-//	          per shard {payload length u64, payload CRC32 u32}
-//	manifest CRC32 (u32, over magic+manifest)
-//	per-shard payloads (FrozenTable.Encode), concatenated
-//
-// Shard payloads are encoded concurrently; the manifest's per-shard
-// CRCs let the loader verify and decode shards in parallel and report
-// exactly which shard a corruption hit.
-//
-// New indexes are written as JEMIDX06 (writeIndex06); this writer is
-// retained so compatibility tests can produce real V5 files.
-func (m *Mapper) writeShardedIndexV5(w io.Writer) error {
-	sf := m.sharded
-	n := sf.NumShards()
-	payloads := make([][]byte, n)
-	encErrs := make([]error, n)
-	parallel.ForEach(n, 0, func(i int) {
-		var buf bytes.Buffer
-		encErrs[i] = sf.Shard(i).Encode(&buf)
-		payloads[i] = buf.Bytes()
-	})
-	for i, err := range encErrs {
-		if err != nil {
-			return fmt.Errorf("core: encoding shard %d: %w", i, err)
-		}
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	h := crc32.NewIEEE()
-	hw := io.MultiWriter(bw, h)
-	if _, err := hw.Write(indexMagicV5[:]); err != nil {
-		return err
-	}
-	if err := m.writeIndexMeta(hw); err != nil {
-		return err
-	}
-	if err := binary.Write(hw, binary.LittleEndian, uint32(n)); err != nil {
-		return err
-	}
-	for _, pl := range payloads {
-		if err := binary.Write(hw, binary.LittleEndian, uint64(len(pl))); err != nil {
-			return err
-		}
-		if err := binary.Write(hw, binary.LittleEndian, crc32.ChecksumIEEE(pl)); err != nil {
-			return err
-		}
-	}
-	// The manifest footer is NOT part of its own checksum.
-	if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
-		return err
-	}
-	for _, pl := range payloads {
-		if _, err := bw.Write(pl); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // WriteIndexFile writes the index to path atomically: the bytes go to
@@ -229,7 +137,7 @@ func (m *Mapper) WriteIndexFile(path string) (retErr error) {
 		return err
 	}
 	// IndexByteFlip corrupts the fully written temp file before the
-	// rename — the scenario the JEMIDX04 checksum exists to catch.
+	// rename — the scenario the index checksums exist to catch.
 	if _, ok := fault.Fire(fault.IndexByteFlip); ok {
 		if err := fault.FlipFileByte(tmp.Name()); err != nil {
 			return err
@@ -238,62 +146,30 @@ func (m *Mapper) WriteIndexFile(path string) (retErr error) {
 	return os.Rename(tmp.Name(), path)
 }
 
-// ReadIndex deserializes a mapper previously written by WriteIndex.
-// JEMIDX05 (sharded) and JEMIDX04 are checksum-verified before any
-// decoding (a mismatch returns an error wrapping ErrIndexChecksum);
-// legacy JEMIDX03 and JEMIDX02 files are accepted without
-// verification. A frozen- or sharded-table index loads as a sealed
-// mapper.
+// ReadIndex deserializes a mapper previously written by WriteIndex,
+// onto the heap. The manifest and every shard payload are
+// checksum-verified before decoding (a mismatch returns an error
+// wrapping ErrIndexChecksum); a retired JEMIDX02–05 file fails with
+// ErrIndexFormat. The mapper loads sealed.
 func ReadIndex(r io.Reader) (*Mapper, error) {
 	return ReadIndexObserved(r, nil)
 }
 
 // ReadIndexObserved is ReadIndex with an optional span under which the
-// per-shard decodes of a JEMIDX05 index are timed (one child span per
-// shard); sp may be nil.
+// per-shard decodes are timed (one child span per shard); sp may be
+// nil.
 func ReadIndexObserved(r io.Reader, sp *obs.Span) (*Mapper, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: reading index magic: %w", err)
+	if err := readMagic(br); err != nil {
+		return nil, err
 	}
-	switch magic {
-	case indexMagicV6:
-		return readSharded06(br, sp)
-	case indexMagicV5:
-		return readShardedIndex(br, sp)
-	case indexMagic:
-		// Verify the footer before decoding anything: buffer the rest of
-		// the stream (the decoded table dwarfs the file, so this does not
-		// change the memory high-water mark), split off the 4-byte CRC,
-		// and compare against the hash of magic+body.
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading index: %w", err)
-		}
-		if len(rest) < 4 {
-			return nil, errIndexTruncated
-		}
-		body, footer := rest[:len(rest)-4], rest[len(rest)-4:]
-		want := binary.LittleEndian.Uint32(footer)
-		got := crc32.Update(crc32.ChecksumIEEE(magic[:]), crc32.IEEETable, body)
-		if got != want {
-			return nil, fmt.Errorf("%w: computed %08x, footer says %08x", ErrIndexChecksum, got, want)
-		}
-		return readIndexBody(bufio.NewReader(bytes.NewReader(body)), false)
-	case indexMagicV3:
-		return readIndexBody(br, false)
-	case indexMagicLegacy:
-		return readIndexBody(br, true)
-	default:
-		return nil, fmt.Errorf("core: not a JEM index (magic %q)", magic[:])
-	}
+	return readSharded06(br, sp)
 }
 
-// readIndexMeta decodes the params and subject metadata shared by the
-// JEMIDX04 body and the JEMIDX05 manifest, returning a fresh mapper
-// carrying them. It reads exact lengths only (no lookahead), so it is
-// safe to run through a checksumming TeeReader.
+// readIndexMeta decodes the params and subject metadata at the head of
+// the manifest, returning a fresh mapper carrying them. It reads exact
+// lengths only (no lookahead), so it is safe to run through a
+// checksumming TeeReader.
 func readIndexMeta(r io.Reader) (*Mapper, sketch.Params, error) {
 	var raw [6]uint64
 	for i := range raw {
@@ -342,64 +218,19 @@ func readIndexMeta(r io.Reader) (*Mapper, sketch.Params, error) {
 	return m, p, nil
 }
 
-// readIndexBody decodes the params/subjects/table payload shared by
-// the pre-sharding format versions. legacy selects the JEMIDX02 body,
-// which lacks the table-kind byte.
-func readIndexBody(br *bufio.Reader, legacy bool) (*Mapper, error) {
-	m, p, err := readIndexMeta(br)
-	if err != nil {
-		return nil, err
-	}
-	kind := byte(tableKindMutable)
-	if !legacy {
-		kind, err = br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("core: reading table kind: %w", err)
-		}
-	}
-	switch kind {
-	case tableKindMutable:
-		tbl, err := sketch.DecodeTable(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding sketch table: %w", err)
-		}
-		if tbl.T() != p.T {
-			return nil, fmt.Errorf("core: table has %d trials, params say %d", tbl.T(), p.T)
-		}
-		m.table = tbl
-	case tableKindFrozen:
-		ft, err := sketch.DecodeFrozenTable(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding frozen sketch table: %w", err)
-		}
-		if ft.T() != p.T {
-			return nil, fmt.Errorf("core: frozen table has %d trials, params say %d", ft.T(), p.T)
-		}
-		m.frozen = ft
-		m.table = nil
-		m.sealed = true
-	default:
-		return nil, fmt.Errorf("core: unknown table kind %d", kind)
-	}
-	return m, nil
-}
-
-// shardedManifest is a decoded, checksum-verified JEMIDX05/06
-// manifest: the meta-only mapper carrying params and subjects, the
-// shard directory, and the manifest checksum — which doubles as the
-// index fingerprint a distributed fleet agrees on (see IndexMeta).
-// offs, page and end are populated only for JEMIDX06, whose directory
-// carries an absolute file offset per shard so payloads can be
-// addressed in place (offs is nil for V5, where payloads are simply
-// concatenated after the footer).
+// shardedManifest is a decoded, checksum-verified JEMIDX06 manifest:
+// the meta-only mapper carrying params and subjects, the shard
+// directory (an absolute file offset per shard, so payloads can be
+// addressed in place), and the manifest checksum — which doubles as
+// the index fingerprint a distributed fleet agrees on (see IndexMeta).
 type shardedManifest struct {
 	m           *Mapper
 	p           sketch.Params
 	lens        []uint64
 	crcs        []uint32
-	offs        []uint64 // V6 only: absolute file offset per payload
-	page        uint32   // V6 only: payload alignment the writer used
-	end         int64    // V6 only: file offset just past the footer
+	offs        []uint64 // absolute file offset per payload
+	page        uint32   // payload alignment the writer used
+	end         int64    // file offset just past the footer
 	manifestCRC uint32
 }
 
@@ -415,7 +246,7 @@ func (man *shardedManifest) meta() IndexMeta {
 
 // countingReader counts the bytes consumed from the underlying reader
 // so the manifest reader can report where in the file the manifest
-// ends (the V6 directory offsets are absolute and must land past it).
+// ends (the directory offsets are absolute and must land past it).
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -427,16 +258,13 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readShardedManifest decodes a JEMIDX05 or JEMIDX06 manifest after
-// its magic, reading through a checksumming tee and verifying the
-// footer before any directory entry is trusted. The magic selects the
-// directory shape: V6 adds a payload page size after the shard count
-// and an absolute file offset per shard entry. On return the stream is
-// positioned just past the manifest footer.
-func readShardedManifest(br *bufio.Reader, magic [8]byte) (*shardedManifest, error) {
-	v6 := magic == indexMagicV6
+// readShardedManifest decodes a JEMIDX06 manifest after its magic,
+// reading through a checksumming tee and verifying the footer before
+// any directory entry is trusted. On return the stream is positioned
+// just past the manifest footer.
+func readShardedManifest(br *bufio.Reader) (*shardedManifest, error) {
 	h := crc32.NewIEEE()
-	_, _ = h.Write(magic[:])
+	_, _ = h.Write(indexMagic[:])
 	cr := &countingReader{r: br}
 	tee := io.TeeReader(cr, h)
 	m, p, err := readIndexMeta(tee)
@@ -451,25 +279,18 @@ func readShardedManifest(br *bufio.Reader, magic [8]byte) (*shardedManifest, err
 		return nil, fmt.Errorf("core: implausible shard count %d", nshards)
 	}
 	var page uint32
-	if v6 {
-		if err := binary.Read(tee, binary.LittleEndian, &page); err != nil {
-			return nil, fmt.Errorf("core: reading payload page size: %w", err)
-		}
-		if page == 0 || page&(page-1) != 0 || page > 1<<22 {
-			return nil, fmt.Errorf("core: implausible payload page size %d", page)
-		}
+	if err := binary.Read(tee, binary.LittleEndian, &page); err != nil {
+		return nil, fmt.Errorf("core: reading payload page size: %w", err)
+	}
+	if page == 0 || page&(page-1) != 0 || page > 1<<22 {
+		return nil, fmt.Errorf("core: implausible payload page size %d", page)
 	}
 	lens := make([]uint64, nshards)
 	crcs := make([]uint32, nshards)
-	var offs []uint64
-	if v6 {
-		offs = make([]uint64, nshards)
-	}
+	offs := make([]uint64, nshards)
 	for i := range lens {
-		if v6 {
-			if err := binary.Read(tee, binary.LittleEndian, &offs[i]); err != nil {
-				return nil, fmt.Errorf("core: reading shard %d directory entry: %w", i, err)
-			}
+		if err := binary.Read(tee, binary.LittleEndian, &offs[i]); err != nil {
+			return nil, fmt.Errorf("core: reading shard %d directory entry: %w", i, err)
 		}
 		if err := binary.Read(tee, binary.LittleEndian, &lens[i]); err != nil {
 			return nil, fmt.Errorf("core: reading shard %d directory entry: %w", i, err)
@@ -491,93 +312,19 @@ func readShardedManifest(br *bufio.Reader, magic [8]byte) (*shardedManifest, err
 	if want != footer {
 		return nil, fmt.Errorf("%w: manifest computed %08x, footer says %08x", ErrIndexChecksum, want, footer)
 	}
-	man := &shardedManifest{m: m, p: p, lens: lens, crcs: crcs, offs: offs, page: page, manifestCRC: want}
-	if v6 {
-		man.end = 8 + cr.n // magic is consumed before the counter starts
-		prev := uint64(man.end)
-		for i, off := range offs {
-			if off%8 != 0 {
-				return nil, fmt.Errorf("core: shard %d payload offset %d is not 8-aligned", i, off)
-			}
-			if off < prev {
-				return nil, fmt.Errorf("core: shard %d payload offset %d overlaps preceding data ending at %d", i, off, prev)
-			}
-			prev = off + lens[i]
+	// The magic is consumed before the counter starts.
+	man := &shardedManifest{m: m, p: p, lens: lens, crcs: crcs, offs: offs, page: page, end: 8 + cr.n, manifestCRC: want}
+	prev := uint64(man.end)
+	for i, off := range offs {
+		if off%8 != 0 {
+			return nil, fmt.Errorf("core: shard %d payload offset %d is not 8-aligned", i, off)
 		}
+		if off < prev {
+			return nil, fmt.Errorf("core: shard %d payload offset %d overlaps preceding data ending at %d", i, off, prev)
+		}
+		prev = off + lens[i]
 	}
 	return man, nil
-}
-
-// readShardedIndex decodes a JEMIDX05 stream after its magic: the
-// manifest is read through a checksumming tee and verified against its
-// footer before any payload byte is trusted, then the shard payloads
-// are read sequentially off the stream and CRC-verified + decoded in
-// parallel. Every corruption path reports an error wrapping
-// ErrIndexChecksum (so load-or-rebuild callers can detect it) and
-// names the shard it hit.
-func readShardedIndex(br *bufio.Reader, sp *obs.Span) (*Mapper, error) {
-	man, err := readShardedManifest(br, indexMagicV5)
-	if err != nil {
-		return nil, err
-	}
-	m, p, lens, crcs := man.m, man.p, man.lens, man.crcs
-	nshards := len(lens)
-	// The manifest is now trusted; pull each payload off the stream.
-	// io.CopyN grows the buffer with bytes actually read, so a length
-	// beyond the file ends in a truncation error, not an allocation.
-	payloads := make([][]byte, nshards)
-	for i := range payloads {
-		var buf bytes.Buffer
-		n, err := io.CopyN(&buf, br, int64(lens[i]))
-		if err == io.EOF && n < int64(lens[i]) {
-			return nil, fmt.Errorf("core: shard %d payload truncated (%d of %d bytes): %w (%w)",
-				i, n, lens[i], errIndexTruncated, ErrIndexChecksum)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: reading shard %d payload: %w", i, err)
-		}
-		payloads[i] = buf.Bytes()
-	}
-	shards := make([]*sketch.FrozenTable, nshards)
-	decErrs := make([]error, nshards)
-	parallel.ForEach(nshards, 0, func(i int) {
-		if sp != nil {
-			sp.Time(fmt.Sprintf("shard%d", i), func() {
-				shards[i], decErrs[i] = decodeShardPayload(i, payloads[i], crcs[i])
-			})
-			return
-		}
-		shards[i], decErrs[i] = decodeShardPayload(i, payloads[i], crcs[i])
-	})
-	for _, err := range decErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	sf, err := sketch.NewShardedFrozen(shards)
-	if err != nil {
-		return nil, fmt.Errorf("core: assembling sharded table: %w", err)
-	}
-	if sf.T() != p.T {
-		return nil, fmt.Errorf("core: sharded table has %d trials, params say %d", sf.T(), p.T)
-	}
-	m.sharded = sf
-	m.table = nil
-	m.sealed = true
-	return m, nil
-}
-
-// decodeShardPayload verifies one shard payload against its manifest
-// CRC and decodes it. Runs on a worker goroutine per shard.
-func decodeShardPayload(i int, payload []byte, wantCRC uint32) (*sketch.FrozenTable, error) {
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, fmt.Errorf("%w: shard %d computed %08x, manifest says %08x", ErrIndexChecksum, i, got, wantCRC)
-	}
-	ft, err := sketch.DecodeFrozenTable(bytes.NewReader(payload))
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding shard %d: %w", i, err)
-	}
-	return ft, nil
 }
 
 // ReadIndexFile loads an index from disk via ReadIndex.

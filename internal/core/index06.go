@@ -31,31 +31,25 @@ import (
 // each shard's arrays in place: no decode allocation, demand paging
 // per shard, and physical pages shared between every process mapping
 // the same file. The same file still loads fine through the plain
-// streaming reader on hosts without mmap.
+// streaming reader on hosts without mmap. It is the only index format;
+// older files fail with ErrIndexFormat (see readMagic).
 const indexPageSize = 4096
 
 func alignPage(x int64) int64 { return (x + indexPageSize - 1) &^ (indexPageSize - 1) }
 
 // sealedShardTables gathers the sealed mapper's per-shard tables for
-// serialization: the sharded set (forcing any lazy shard in — an index
-// cannot be written from payloads that fail their checksum), or the
-// single frozen table as a one-shard index.
+// serialization, forcing any lazy shard in — an index cannot be
+// written from payloads that fail their checksum.
 func (m *Mapper) sealedShardTables() ([]*sketch.FrozenTable, error) {
-	if m.sharded != nil {
-		out := make([]*sketch.FrozenTable, m.sharded.NumShards())
-		for i := range out {
-			ft, err := m.sharded.ShardChecked(i)
-			if err != nil {
-				return nil, fmt.Errorf("core: materializing shard %d for write: %w", i, err)
-			}
-			out[i] = ft
+	out := make([]*sketch.FrozenTable, m.sharded.NumShards())
+	for i := range out {
+		ft, err := m.sharded.ShardChecked(i)
+		if err != nil {
+			return nil, fmt.Errorf("core: materializing shard %d for write: %w", i, err)
 		}
-		return out, nil
+		out[i] = ft
 	}
-	if m.frozen != nil {
-		return []*sketch.FrozenTable{m.frozen}, nil
-	}
-	return nil, fmt.Errorf("core: mapper has no sealed table to write")
+	return out, nil
 }
 
 // writeIndex06 emits the JEMIDX06 layout. Shard payloads are encoded
@@ -90,7 +84,7 @@ func (m *Mapper) writeIndex06(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	h := crc32.NewIEEE()
 	hw := io.MultiWriter(bw, h)
-	if _, err := hw.Write(indexMagicV6[:]); err != nil {
+	if _, err := hw.Write(indexMagic[:]); err != nil {
 		return err
 	}
 	if _, err := hw.Write(metaBuf.Bytes()); err != nil {
@@ -141,11 +135,14 @@ func (m *Mapper) writeIndex06(w io.Writer) error {
 
 // readSharded06 decodes a JEMIDX06 stream after its magic — the plain
 // heap loading path, used when the caller did not (or could not) go
-// through the mmap open. Identical trust order to readShardedIndex:
-// manifest verified first, payloads pulled sequentially (skipping the
-// alignment gaps), then CRC-verified and decoded in parallel.
+// through the mmap open. The manifest is verified first; payloads are
+// then pulled sequentially (skipping the alignment gaps; io.CopyN grows
+// each buffer with bytes actually read, so a length beyond the file
+// ends in a truncation error, not an allocation), and finally
+// CRC-verified and decoded in parallel. Every corruption path reports
+// an error wrapping ErrIndexChecksum and names the shard it hit.
 func readSharded06(br *bufio.Reader, sp *obs.Span) (*Mapper, error) {
-	man, err := readShardedManifest(br, indexMagicV6)
+	man, err := readShardedManifest(br)
 	if err != nil {
 		return nil, err
 	}
@@ -191,31 +188,16 @@ func readSharded06(br *bufio.Reader, sp *obs.Span) (*Mapper, error) {
 }
 
 // finishSealed installs decoded shard tables on the manifest's mapper.
-// A one-shard index loads as a plain frozen mapper — structurally
-// identical to the pre-sharding formats — so shard count 1 keeps the
-// exact single-table lookup path.
 func finishSealed(man *shardedManifest, shards []*sketch.FrozenTable) (*Mapper, error) {
-	m, p := man.m, man.p
-	if len(shards) == 1 {
-		if shards[0].T() != p.T {
-			return nil, fmt.Errorf("core: frozen table has %d trials, params say %d", shards[0].T(), p.T)
-		}
-		m.frozen = shards[0]
-		m.table = nil
-		m.sealed = true
-		return m, nil
-	}
 	sf, err := sketch.NewShardedFrozen(shards)
 	if err != nil {
 		return nil, fmt.Errorf("core: assembling sharded table: %w", err)
 	}
-	if sf.T() != p.T {
-		return nil, fmt.Errorf("core: sharded table has %d trials, params say %d", sf.T(), p.T)
+	if sf.T() != man.p.T {
+		return nil, fmt.Errorf("core: sharded table has %d trials, params say %d", sf.T(), man.p.T)
 	}
-	m.sharded = sf
-	m.table = nil
-	m.sealed = true
-	return m, nil
+	man.m.SetSharded(sf)
+	return man.m, nil
 }
 
 // decodeShardPayload06 verifies one flat shard payload against its
@@ -263,8 +245,7 @@ const (
 	// MemoryAuto maps the index read-only and, under a positive
 	// Budget, decodes shards onto the heap until the budget is spent —
 	// the rest stay load-on-demand views. With no budget it behaves
-	// like MemoryMMap. Formats without the flat layout (pre-JEMIDX06),
-	// and hosts without mmap, fall back to a heap load.
+	// like MemoryMMap. Hosts without mmap fall back to a heap load.
 	MemoryAuto MemoryMode = iota
 	// MemoryHeap decodes every shard into process-private heap memory
 	// at open — the classic load, fastest per lookup.
@@ -330,14 +311,10 @@ type MemoryInfo struct {
 	Mapped   int64
 }
 
-// heapMemoryInfo summarizes a fully heap-loaded mapper.
+// heapMemoryInfo summarizes a fully heap-loaded mapper: every shard
+// resides on the heap (ResidenceHeap is the zero value).
 func heapMemoryInfo(m *Mapper) MemoryInfo {
-	var info MemoryInfo
-	if m.sharded != nil {
-		info.Shards = make([]ShardResidence, m.sharded.NumShards())
-	} else if m.frozen != nil || m.table != nil {
-		info.Shards = []ShardResidence{ResidenceHeap}
-	}
+	info := MemoryInfo{Shards: make([]ShardResidence, m.Shards())}
 	info.Resident, info.Mapped = m.IndexMemory()
 	return info
 }
@@ -362,24 +339,23 @@ func OpenIndexFile(path string, spec MemorySpec) (*Mapper, MemoryInfo, io.Closer
 	return OpenIndexFileObserved(path, spec, nil)
 }
 
-// OpenIndexFileObserved loads the index at path honoring spec. A
-// JEMIDX06 file under MemoryMMap or MemoryAuto (on a host with mmap)
-// is mapped read-only and served in place; anything else — older
-// formats, MemoryHeap, platforms without mmap, or a failed mapping —
-// takes the streaming heap load. The returned closer, when non-nil,
-// owns the mapping and must be closed after the mapper is done
-// serving; sp, when non-nil, gets one child span per shard.
+// OpenIndexFileObserved loads the index at path honoring spec. Under
+// MemoryMMap or MemoryAuto (on a host with mmap) the file is mapped
+// read-only and served in place; MemoryHeap, platforms without mmap,
+// and a failed mapping take the streaming heap load. A retired
+// JEMIDX02–05 file fails with ErrIndexFormat. The returned closer,
+// when non-nil, owns the mapping and must be closed after the mapper
+// is done serving; sp, when non-nil, gets one child span per shard.
 func OpenIndexFileObserved(path string, spec MemorySpec, sp *obs.Span) (*Mapper, MemoryInfo, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, MemoryInfo{}, nil, err
 	}
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
+	if err := readMagic(f); err != nil {
 		_ = f.Close()
-		return nil, MemoryInfo{}, nil, fmt.Errorf("core: index %s: reading magic: %w", path, err)
+		return nil, MemoryInfo{}, nil, fmt.Errorf("core: index %s: %w", path, err)
 	}
-	if magic == indexMagicV6 && spec.Mode != MemoryHeap && mmapSupported {
+	if spec.Mode != MemoryHeap && mmapSupported {
 		if st, serr := f.Stat(); serr == nil && st.Size() > 8 {
 			if data, merr := mmapFile(f, st.Size()); merr == nil {
 				m, info, err := buildMapped06(data, spec, sp)
@@ -418,7 +394,7 @@ func OpenIndexFileObserved(path string, spec MemorySpec, sp *obs.Span) (*Mapper,
 // verified views) while lazy shards get load-on-demand slots that
 // verify on first query.
 func buildMapped06(data []byte, spec MemorySpec, sp *obs.Span) (*Mapper, MemoryInfo, error) {
-	man, err := readShardedManifest(bufio.NewReader(bytes.NewReader(data[8:])), indexMagicV6)
+	man, err := readShardedManifest(bufio.NewReader(bytes.NewReader(data[8:])))
 	if err != nil {
 		return nil, MemoryInfo{}, err
 	}
@@ -463,27 +439,14 @@ func buildMapped06(data []byte, spec MemorySpec, sp *obs.Span) (*Mapper, MemoryI
 			return nil, MemoryInfo{}, err
 		}
 	}
-	m := man.m
-	info := MemoryInfo{Shards: res}
-	if n == 1 {
-		if eager[0].T() != man.p.T {
-			return nil, MemoryInfo{}, fmt.Errorf("core: frozen table has %d trials, params say %d", eager[0].T(), man.p.T)
-		}
-		m.frozen = eager[0]
-		m.table = nil
-		m.sealed = true
-		info.Resident, info.Mapped = eager[0].ResidentBytes(), eager[0].MappedBytes()
-		return m, info, nil
-	}
 	sf, err := sketch.NewLazyShardedFrozen(man.p.T, eager, lazy)
 	if err != nil {
 		return nil, MemoryInfo{}, fmt.Errorf("core: assembling sharded table: %w", err)
 	}
-	m.sharded = sf
-	m.table = nil
-	m.sealed = true
+	man.m.SetSharded(sf)
+	info := MemoryInfo{Shards: res}
 	info.Resident, info.Mapped = sf.ResidentBytes(), sf.MappedBytes()
-	return m, info, nil
+	return man.m, info, nil
 }
 
 // planResidences decides each shard's residence. MemoryMMap — and
@@ -492,8 +455,9 @@ func buildMapped06(data []byte, spec MemorySpec, sp *obs.Span) (*Mapper, MemoryI
 // cumulative payload size fits, and leaves the rest load-on-demand (a
 // shard not decoded is likely cold; paying its CRC pass only if it is
 // ever queried is the out-of-core bargain). A single-shard index never
-// goes lazy: the single-probe lookup path cannot surface a fault-in
-// failure (see sketch.NewLazyShardedFrozen).
+// goes lazy: every query touches its one shard, so deferring the
+// shard's verification saves nothing and would only move a corruption
+// report from open to the first query.
 func planResidences(spec MemorySpec, man *shardedManifest) []ShardResidence {
 	res := make([]ShardResidence, len(man.lens))
 	if spec.Mode == MemoryMMap || spec.Budget <= 0 {
@@ -517,11 +481,11 @@ func planResidences(spec MemorySpec, man *shardedManifest) []ShardResidence {
 	return res
 }
 
-// OpenShardSubset is ReadShardSubsetFile honoring a memory spec: on a
-// JEMIDX06 index with Mode != MemoryHeap (and a host with mmap) the
-// kept shards are served as zero-copy views over a shared read-only
-// mapping — the jem-shardd fleet path, where every server mapping the
-// same index file shares physical pages. Views are CRC-verified at
+// OpenShardSubset is ReadShardSubsetFile honoring a memory spec: with
+// Mode != MemoryHeap (and a host with mmap) the kept shards are served
+// as zero-copy views over a shared read-only mapping — the jem-shardd
+// fleet path, where every server mapping the same index file shares
+// physical pages. Views are CRC-verified at
 // open (a shard server has no lazy path; it will serve every kept
 // shard). The returned closer, when non-nil, owns the mapping.
 func OpenShardSubset(path string, keep func(shard int) bool, spec MemorySpec) (map[int]*sketch.FrozenTable, IndexMeta, io.Closer, error) {
@@ -529,9 +493,7 @@ func OpenShardSubset(path string, keep func(shard int) bool, spec MemorySpec) (m
 	if err != nil {
 		return nil, IndexMeta{}, nil, err
 	}
-	var magic [8]byte
-	if _, rerr := io.ReadFull(f, magic[:]); rerr == nil &&
-		magic == indexMagicV6 && spec.Mode != MemoryHeap && mmapSupported {
+	if readMagic(f) == nil && spec.Mode != MemoryHeap && mmapSupported {
 		if st, serr := f.Stat(); serr == nil && st.Size() > 8 {
 			if data, merr := mmapFile(f, st.Size()); merr == nil {
 				tables, meta, berr := buildSubsetMapped06(data, keep)
@@ -552,7 +514,7 @@ func OpenShardSubset(path string, keep func(shard int) bool, spec MemorySpec) (m
 // buildSubsetMapped06 builds verified views for the kept shards of an
 // mmap'd JEMIDX06 file.
 func buildSubsetMapped06(data []byte, keep func(shard int) bool) (map[int]*sketch.FrozenTable, IndexMeta, error) {
-	man, err := readShardedManifest(bufio.NewReader(bytes.NewReader(data[8:])), indexMagicV6)
+	man, err := readShardedManifest(bufio.NewReader(bytes.NewReader(data[8:])))
 	if err != nil {
 		return nil, IndexMeta{}, err
 	}

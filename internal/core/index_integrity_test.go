@@ -60,8 +60,8 @@ func TestWriteIndexFileRoundTrip(t *testing.T) {
 }
 
 // TestIndexChecksumDetectsCorruption: every single-byte corruption of
-// a JEMIDX04 file must be rejected, and body corruptions must be
-// identified as checksum mismatches (the rebuildable kind).
+// an index file must be rejected, and manifest and payload corruptions
+// must be identified as checksum mismatches (the rebuildable kind).
 func TestIndexChecksumDetectsCorruption(t *testing.T) {
 	m, _ := buildSmallMapper(t, 19)
 	var buf bytes.Buffer
@@ -95,24 +95,13 @@ func TestIndexChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestIndexLegacyJEMIDX03Load: a JEMIDX03 body is the JEMIDX04 body
-// without a footer; emitting it through the shared body encoder (the
-// current writer no longer produces it — sealed mappers write
-// JEMIDX06) yields a valid legacy file, which must still load,
-// unverified.
+// TestIndexLegacyJEMIDX03Load: the retired JEMIDX03 layout (no
+// checksum) and its footer-protected successor JEMIDX04 are refused by
+// every index reader with ErrIndexFormat, on the magic alone.
 func TestIndexLegacyJEMIDX03Load(t *testing.T) {
-	m, _ := buildSmallMapper(t, 23)
-	var buf bytes.Buffer
-	buf.Write(indexMagicV3[:])
-	if err := m.writeIndexBody(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("JEMIDX03 load: %v", err)
-	}
-	if loaded.NumSubjects() != m.NumSubjects() {
-		t.Fatalf("subjects %d != %d", loaded.NumSubjects(), m.NumSubjects())
+	body := sealedIndexBody(t, 1)
+	for _, magic := range []string{"JEMIDX03", "JEMIDX04"} {
+		assertLegacyRejected(t, magic, body)
 	}
 }
 

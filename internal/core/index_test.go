@@ -3,14 +3,20 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/seq"
 	"repro/internal/sketch"
 )
 
+// TestIndexRoundTrip: an unsealed mapper has no serving table and
+// refuses to write; once sealed, its index round-trips subject
+// metadata, params, entries and every mapping decision.
 func TestIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	var contigs []seq.Record
@@ -28,6 +34,10 @@ func TestIndexRoundTrip(t *testing.T) {
 	orig.AddSubjects(contigs)
 
 	var buf bytes.Buffer
+	if err := orig.WriteIndex(&buf); err == nil || buf.Len() != 0 {
+		t.Fatalf("unsealed WriteIndex: err=%v after %d bytes, want an error before any byte", err, buf.Len())
+	}
+	orig.Seal()
 	if err := orig.WriteIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +53,8 @@ func TestIndexRoundTrip(t *testing.T) {
 			t.Fatalf("subject %d metadata differs", i)
 		}
 	}
-	if loaded.Table().Entries() != orig.Table().Entries() {
-		t.Fatalf("entries %d != %d", loaded.Table().Entries(), orig.Table().Entries())
+	if loaded.Entries() != orig.Entries() {
+		t.Fatalf("entries %d != %d", loaded.Entries(), orig.Entries())
 	}
 	if loaded.Sketcher().Params() != orig.Sketcher().Params() {
 		t.Fatalf("params differ")
@@ -90,6 +100,7 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 
 func TestReadIndexRejectsBadParams(t *testing.T) {
 	m, _ := NewMapper(smallParams())
+	m.Seal()
 	var buf bytes.Buffer
 	if err := m.WriteIndex(&buf); err != nil {
 		t.Fatal(err)
@@ -104,8 +115,8 @@ func TestReadIndexRejectsBadParams(t *testing.T) {
 	}
 }
 
-// TestIndexRoundTripSealed: a sealed mapper writes the frozen-kind
-// JEMIDX03 body and loads back as a sealed mapper with identical
+// TestIndexRoundTripSealed: a sealed mapper writes a one-shard JEMIDX06
+// index and loads back as a sealed one-shard mapper with identical
 // mapping behaviour.
 func TestIndexRoundTripSealed(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
@@ -132,8 +143,8 @@ func TestIndexRoundTripSealed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Sealed() || loaded.Frozen() == nil || loaded.Table() != nil {
-		t.Fatal("frozen-kind index did not load as a sealed mapper")
+	if !loaded.Sealed() || loaded.Shards() != 1 || loaded.Frozen() == nil || loaded.Table() != nil {
+		t.Fatal("one-shard index did not load as a sealed one-shard mapper")
 	}
 	if loaded.Entries() != orig.Entries() {
 		t.Fatalf("entries %d != %d", loaded.Entries(), orig.Entries())
@@ -146,9 +157,9 @@ func TestIndexRoundTripSealed(t *testing.T) {
 
 // TestIndexRoundTripDistributedFrozen is the regression test for the
 // empty-index bug: a driver that registers subjects, gathers per-rank
-// payloads and installs the merged result with SetFrozen used to save
-// an index whose table section was the untouched (empty) mutable
-// table. The full gather -> save -> load -> map loop must now work.
+// payloads and installs the merged result once saved an index whose
+// table section was the untouched (empty) mutable table. The full
+// gather -> SetSharded -> save -> load -> map loop must work.
 func TestIndexRoundTripDistributedFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	var contigs []seq.Record
@@ -182,7 +193,11 @@ func TestIndexRoundTripDistributedFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetFrozen(ft)
+	sf, err := sketch.NewShardedFrozen([]*sketch.FrozenTable{ft})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetSharded(sf)
 
 	var buf bytes.Buffer
 	if err := m.WriteIndex(&buf); err != nil {
@@ -201,9 +216,10 @@ func TestIndexRoundTripDistributedFrozen(t *testing.T) {
 	compareMappers(t, rng, contigs, m, loaded)
 }
 
-// TestIndexLegacyJEMIDX02Load: files written by the previous format
-// (no table-kind byte, mutable-table body) must still load and map
-// identically to the mapper that would have written them.
+// TestIndexLegacyJEMIDX02Load: a file in the retired JEMIDX02 layout
+// (no table-kind byte, mutable-table body) is refused by every index
+// reader with ErrIndexFormat, the error load-or-rebuild callers rebuild
+// on.
 func TestIndexLegacyJEMIDX02Load(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	var contigs []seq.Record
@@ -220,10 +236,9 @@ func TestIndexLegacyJEMIDX02Load(t *testing.T) {
 	}
 	orig.AddSubjects(contigs)
 
-	// Hand-write the legacy layout: magic, 6 param words, subject
-	// metadata, then the mutable table with no kind byte.
+	// Hand-write the legacy body: 6 param words, subject metadata,
+	// then the mutable table with no kind byte.
 	var buf bytes.Buffer
-	buf.Write(indexMagicLegacy[:])
 	for _, v := range []uint64{
 		uint64(p.K), uint64(p.W), uint64(p.T), uint64(p.L),
 		uint64(p.Seed), uint64(p.Order),
@@ -248,18 +263,53 @@ func TestIndexLegacyJEMIDX02Load(t *testing.T) {
 	if err := orig.Table().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
+	assertLegacyRejected(t, "JEMIDX02", buf.Bytes())
+}
 
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatalf("legacy index rejected: %v", err)
+// assertLegacyRejected writes body under a retired magic and asserts
+// that every index reader — stream, file, heap and mmap opens, manifest
+// and shard-subset reads — refuses the file with ErrIndexFormat.
+func assertLegacyRejected(t *testing.T, magic string, body []byte) {
+	t.Helper()
+	data := append([]byte(magic), body...)
+	path := filepath.Join(t.TempDir(), "legacy.jem")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if loaded.Sealed() {
-		t.Fatal("legacy index must load unsealed (mutable table)")
+	all := func(int) bool { return true }
+	check := func(reader string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrIndexFormat) {
+			t.Errorf("%s: %s error = %v, want ErrIndexFormat", magic, reader, err)
+		}
 	}
-	if loaded.Table().Entries() != orig.Table().Entries() {
-		t.Fatalf("entries %d != %d", loaded.Table().Entries(), orig.Table().Entries())
+	_, err := ReadIndex(bytes.NewReader(data))
+	check("ReadIndex", err)
+	_, err = ReadIndexFile(path)
+	check("ReadIndexFile", err)
+	for _, mode := range []MemoryMode{MemoryHeap, MemoryMMap} {
+		_, _, _, err = OpenIndexFile(path, MemorySpec{Mode: mode})
+		check("OpenIndexFile/"+mode.String(), err)
+		_, _, _, err = OpenShardSubset(path, all, MemorySpec{Mode: mode})
+		check("OpenShardSubset/"+mode.String(), err)
 	}
-	compareMappers(t, rng, contigs, orig, loaded)
+	_, _, err = ReadIndexMetaFile(path)
+	check("ReadIndexMetaFile", err)
+	_, _, err = ReadShardSubsetFile(path, all)
+	check("ReadShardSubsetFile", err)
+}
+
+// sealedIndexBody returns the bytes after the magic of a sealed
+// p-shard index: a well-formed payload for stamping with a retired
+// magic, so a rejection proves the readers check the magic first.
+func sealedIndexBody(t *testing.T, p int) []byte {
+	t.Helper()
+	m, _ := shardedIndexMapper(t, p)
+	var buf bytes.Buffer
+	if err := m.WriteIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[8:]
 }
 
 // compareMappers asserts two mappers agree on a mix of on-contig and

@@ -21,11 +21,12 @@ type Metrics struct {
 	Postings *obs.Counter
 	// Lookup is the per-segment lookup latency in seconds.
 	Lookup *obs.Histogram
-	// ShardPostings, present only on a sharded mapper, splits Postings
-	// by serving shard (index = shard id); it exposes routing skew.
+	// ShardPostings splits Postings by serving shard (index = shard id,
+	// one counter per shard once the mapper is sealed, so P=1 too); it
+	// exposes routing skew.
 	ShardPostings []*obs.Counter
 	// reg is retained so per-shard counters can be registered when the
-	// sharded table is installed after EnableMetrics (the build path:
+	// serving table is installed after EnableMetrics (the build path:
 	// the facade enables metrics before sealing).
 	reg *obs.Registry
 }
@@ -51,25 +52,16 @@ func (m *Mapper) EnableMetrics(reg *obs.Registry) *Metrics {
 }
 
 // enableShardMetrics registers the per-shard postings counters once
-// both a metrics registry and a shard-partitioned serving path — a
-// local sharded table or a remote backend — are present. It runs from
-// EnableMetrics (load path: table installed first) and from
-// SealSharded/SetSharded/SetRemote (build path: registry installed
-// first), and always before sessions exist, so sessions see a
-// complete slice.
+// both a metrics registry and a serving path — a local sharded table
+// or a remote backend — are present. It runs from EnableMetrics (load
+// path: table installed first) and from SetSharded/SetRemote (build
+// path: registry installed first), and always before sessions exist,
+// so sessions see a complete slice.
 func (m *Mapper) enableShardMetrics() {
-	if m.met == nil || m.met.reg == nil {
+	if m.met == nil || m.met.reg == nil || !m.Sealed() {
 		return
 	}
-	var p int
-	switch {
-	case m.sharded != nil:
-		p = m.sharded.NumShards()
-	case m.remote != nil:
-		p = m.remote.NumShards()
-	default:
-		return
-	}
+	p := m.Shards()
 	if len(m.met.ShardPostings) == p {
 		return
 	}
@@ -100,7 +92,7 @@ func (met *Metrics) observe(elapsed time.Duration, postings int64, hit bool) {
 }
 
 // observeShard attributes postings scanned in one shard during a
-// scatter-gather query to that shard's counter.
+// query to that shard's counter.
 func (met *Metrics) observeShard(shard int, postings int64) {
 	if shard < len(met.ShardPostings) {
 		met.ShardPostings[shard].Add(postings)

@@ -35,32 +35,27 @@ type ShardQuerier interface {
 }
 
 // SetRemote installs a remote scatter-gather backend as the mapper's
-// serving path, replacing any local table (the typical caller holds a
-// meta-only mapper from ReadIndexMetaFile, which has no postings to
-// drop). Passing nil restores local serving and panics if no local
-// table remains. Like SetFrozen/SetSharded it must run before
-// sessions are issued.
+// serving path, in place of any local table and sealing the mapper
+// (the typical caller holds a meta-only mapper from ReadIndexMetaFile,
+// which has no postings to drop). Passing nil restores serving from a
+// local sharded table and panics if there is none. Like SetSharded it
+// must run before sessions are issued.
 func (m *Mapper) SetRemote(q ShardQuerier) {
-	if q == nil {
-		if m.table == nil && m.frozen == nil && m.sharded == nil {
-			panic("core: cannot clear the remote backend of a sealed mapper (no local table remains)")
-		}
-		m.remote = nil
-		return
+	if q == nil && m.sharded == nil {
+		panic("core: cannot clear the remote backend of a mapper with no local table")
 	}
 	m.remote = q
 	m.table = nil
-	m.sealed = true
 	m.enableShardMetrics()
 }
 
 // Remote returns the installed remote backend, nil for local serving.
 func (m *Mapper) Remote() ShardQuerier { return m.remote }
 
-// IndexMeta identifies a sharded (JEMIDX05/06) index without its
-// payloads: the shard count, the sketch/subject dimensions, and the
-// manifest checksum — the fingerprint a shard-server fleet and a
-// coordinator must agree on before any query flows.
+// IndexMeta identifies an index without its payloads: the shard
+// count, the sketch/subject dimensions, and the manifest checksum —
+// the fingerprint a shard-server fleet and a coordinator must agree on
+// before any query flows.
 type IndexMeta struct {
 	// Shards is the index's shard count P.
 	Shards int
@@ -72,34 +67,29 @@ type IndexMeta struct {
 	ManifestCRC uint32
 }
 
-// ReadIndexMetaFile reads only the manifest of a sharded (JEMIDX05 or
-// JEMIDX06) index: the returned mapper carries the sketch parameters
-// and subject metadata but NO postings (it must be given a backend
-// with SetRemote before it can serve), and the IndexMeta carries the
-// fingerprint to validate a shard fleet against. Non-sharded indexes
-// are rejected: remote serving requires the sharded layout.
+// ReadIndexMetaFile reads only the manifest of an index: the returned
+// mapper carries the sketch parameters and subject metadata but NO
+// postings (it must be given a backend with SetRemote before it can
+// serve), and the IndexMeta carries the fingerprint to validate a
+// shard fleet against. A retired JEMIDX02–05 file fails with
+// ErrIndexFormat.
 func ReadIndexMetaFile(path string) (*Mapper, IndexMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, IndexMeta{}, err
 	}
 	defer func() { _ = f.Close() }()
-	br, magic, err := requireShardedMagic(f, path)
+	man, _, err := openManifest(f, path)
 	if err != nil {
 		return nil, IndexMeta{}, err
-	}
-	man, err := readShardedManifest(br, magic)
-	if err != nil {
-		return nil, IndexMeta{}, fmt.Errorf("core: index %s: %w", path, err)
 	}
 	return man.m, man.meta(), nil
 }
 
-// ReadShardSubsetFile loads only the shards selected by keep from a
-// sharded (JEMIDX05 or JEMIDX06) index — the shard-server loading
-// path, where each process pays memory for its own shards only.
-// Unselected payloads (and, in V6, the alignment padding between
-// payloads) are skipped without allocation; selected ones are
+// ReadShardSubsetFile loads only the shards selected by keep from an
+// index — the shard-server loading path, where each process pays
+// memory for its own shards only. Unselected payloads (and the
+// alignment padding between payloads) are skipped without allocation; selected ones are
 // CRC-verified and decoded in parallel exactly like a full load. The
 // returned map is keyed by shard id.
 func ReadShardSubsetFile(path string, keep func(shard int) bool) (map[int]*sketch.FrozenTable, IndexMeta, error) {
@@ -108,26 +98,20 @@ func ReadShardSubsetFile(path string, keep func(shard int) bool) (map[int]*sketc
 		return nil, IndexMeta{}, err
 	}
 	defer func() { _ = f.Close() }()
-	br, magic, err := requireShardedMagic(f, path)
+	man, br, err := openManifest(f, path)
 	if err != nil {
 		return nil, IndexMeta{}, err
 	}
-	man, err := readShardedManifest(br, magic)
-	if err != nil {
-		return nil, IndexMeta{}, fmt.Errorf("core: index %s: %w", path, err)
-	}
 	var kept []int
 	payloads := make(map[int][]byte)
-	pos := man.end // stream position past the manifest (V6 bookkeeping)
+	pos := man.end // stream position past the manifest
 	for i := range man.lens {
-		// V6 payloads are page-aligned; skip the padding gap first.
-		if man.offs != nil {
-			if skip := int64(man.offs[i]) - pos; skip > 0 {
-				if _, err := io.CopyN(io.Discard, br, skip); err != nil {
-					return nil, IndexMeta{}, fmt.Errorf("core: index %s: seeking shard %d payload: %w", path, i, err)
-				}
-				pos += skip
+		// Payloads are page-aligned; skip the padding gap first.
+		if skip := int64(man.offs[i]) - pos; skip > 0 {
+			if _, err := io.CopyN(io.Discard, br, skip); err != nil {
+				return nil, IndexMeta{}, fmt.Errorf("core: index %s: seeking shard %d payload: %w", path, i, err)
 			}
+			pos += skip
 		}
 		if !keep(i) {
 			n, err := io.CopyN(io.Discard, br, int64(man.lens[i]))
@@ -153,16 +137,12 @@ func ReadShardSubsetFile(path string, keep func(shard int) bool) (map[int]*sketc
 	if len(kept) == 0 {
 		return nil, IndexMeta{}, fmt.Errorf("core: index %s: shard selection keeps none of %d shards", path, len(man.lens))
 	}
-	decode := decodeShardPayload
-	if magic == indexMagicV6 {
-		decode = decodeShardPayload06
-	}
 	tables := make(map[int]*sketch.FrozenTable, len(kept))
 	decErrs := make([]error, len(kept))
 	decoded := make([]*sketch.FrozenTable, len(kept))
 	parallel.ForEach(len(kept), 0, func(j int) {
 		i := kept[j]
-		decoded[j], decErrs[j] = decode(i, payloads[i], man.crcs[i])
+		decoded[j], decErrs[j] = decodeShardPayload06(i, payloads[i], man.crcs[i])
 	})
 	for j, err := range decErrs {
 		if err != nil {
@@ -173,22 +153,16 @@ func ReadShardSubsetFile(path string, keep func(shard int) bool) (map[int]*sketc
 	return tables, man.meta(), nil
 }
 
-// requireShardedMagic reads the index magic and rejects everything but
-// the sharded layouts (JEMIDX05, JEMIDX06): only they have a manifest
-// to serve shard subsets and fingerprints from. The accepted magic is
-// returned so callers can parse the matching directory shape.
-func requireShardedMagic(r io.Reader, path string) (*bufio.Reader, [8]byte, error) {
+// openManifest checks the magic of the index open on r and decodes
+// its manifest, leaving the returned reader positioned just past it.
+func openManifest(r io.Reader, path string) (*shardedManifest, *bufio.Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, magic, fmt.Errorf("core: index %s: reading magic: %w", path, err)
+	if err := readMagic(br); err != nil {
+		return nil, nil, fmt.Errorf("core: index %s: %w", path, err)
 	}
-	switch magic {
-	case indexMagicV5, indexMagicV6:
-		return br, magic, nil
-	case indexMagic, indexMagicV3, indexMagicLegacy:
-		return nil, magic, fmt.Errorf("core: index %s: %q is not sharded; distributed serving requires a JEMIDX05/06 index (rebuild with -shards > 1)", path, magic[:])
-	default:
-		return nil, magic, fmt.Errorf("core: index %s: not a JEM index (magic %q)", path, magic[:])
+	man, err := readShardedManifest(br)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: index %s: %w", path, err)
 	}
+	return man, br, nil
 }

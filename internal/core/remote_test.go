@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -231,20 +230,19 @@ func TestReadShardSubsetFile(t *testing.T) {
 	}
 }
 
-// TestReadIndexMetaRejectsUnsharded: meta/subset loading requires a
-// sharded layout (JEMIDX05/06); a mutable-table JEMIDX04 file is
-// refused with a pointed message, not misparsed.
+// TestReadIndexMetaRejectsUnsharded: meta/subset loading needs the
+// JEMIDX06 shard manifest; a file from before every index was sharded
+// (here a JEMIDX04 one) is refused with ErrIndexFormat, not misparsed.
 func TestReadIndexMetaRejectsUnsharded(t *testing.T) {
-	m := buildTinyMapper(t)
 	path := filepath.Join(t.TempDir(), "flat.jem")
-	if err := m.WriteIndexFile(path); err != nil {
+	if err := os.WriteFile(path, append([]byte("JEMIDX04"), sealedIndexBody(t, 1)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadIndexMetaFile(path); err == nil {
-		t.Fatal("ReadIndexMetaFile accepted an unsharded index")
+	if _, _, err := ReadIndexMetaFile(path); !errors.Is(err, ErrIndexFormat) {
+		t.Fatalf("ReadIndexMetaFile on a JEMIDX04 file: err=%v, want ErrIndexFormat", err)
 	}
-	if _, _, err := ReadShardSubsetFile(path, func(int) bool { return true }); err == nil {
-		t.Fatal("ReadShardSubsetFile accepted an unsharded index")
+	if _, _, err := ReadShardSubsetFile(path, func(int) bool { return true }); !errors.Is(err, ErrIndexFormat) {
+		t.Fatalf("ReadShardSubsetFile on a JEMIDX04 file: err=%v, want ErrIndexFormat", err)
 	}
 	if _, _, err := ReadIndexMetaFile(filepath.Join(t.TempDir(), "missing.jem")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file error = %v, want ErrNotExist", err)
@@ -269,20 +267,4 @@ func TestSetRemoteGuards(t *testing.T) {
 		}
 	}()
 	remote.SetRemote(nil)
-}
-
-// buildTinyMapper builds a minimal UNSEALED mapper for format
-// rejection tests: a mutable mapper writes the JEMIDX04 layout, the
-// only current format without a shard manifest (sealed mappers write
-// JEMIDX06, which always has one).
-func buildTinyMapper(t *testing.T) *Mapper {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	_, contigs, _, _ := makeWorld(t, rng, 6000, 1000, 2)
-	m, err := NewMapper(smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.AddSubjects(contigs)
-	return m
 }

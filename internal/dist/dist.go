@@ -148,7 +148,8 @@ func Run(contigs, reads []seq.Record, cfg Config) (*Output, error) {
 	// Every rank turns the gathered payloads into its S_global. The
 	// sorted payload format admits a k-way merge into a frozen
 	// sorted-array table — no hashing — which keeps this step from
-	// dominating the runtime the way a hash-map rebuild would.
+	// dominating the runtime the way a hash-map rebuild would. It is
+	// installed as the mapper's one-shard serving table.
 	var mergeErr error
 	sim.SequentialStep("S3 merge sketch", func() {
 		ft, err := sketch.FreezePayloads(cfg.Params.T, encoded)
@@ -156,7 +157,12 @@ func Run(contigs, reads []seq.Record, cfg Config) (*Output, error) {
 			mergeErr = err
 			return
 		}
-		mapper.SetFrozen(ft)
+		sf, err := sketch.NewShardedFrozen([]*sketch.FrozenTable{ft})
+		if err != nil {
+			mergeErr = err
+			return
+		}
+		mapper.SetSharded(sf)
 	})
 	if mergeErr != nil {
 		return nil, fmt.Errorf("dist: gather: %w", mergeErr)

@@ -26,6 +26,7 @@ var requiredHotPaths = map[string][]string{
 		"Session.MapSegmentPositional",
 		"Session.mapSegment",
 		"Session.mapSegmentPositional",
+		"Session.scanWords",
 	},
 	"repro/internal/sketch": {
 		"Sketcher.sketchTuples",

@@ -495,13 +495,13 @@ func (s *Server) classify(err error) (int, string) {
 
 // swapRequest is the POST /v1/indexes/{name}/swap body.
 type swapRequest struct {
-	// IndexPath is the saved index (JEMIDX05 etc.) to load.
+	// IndexPath is the saved (JEMIDX06) index to load.
 	IndexPath string `json:"index_path"`
 	// ContigsPath, when set, supplies contig records: the rebuild
 	// source with RebuildOnCorrupt, otherwise record metadata only.
 	ContigsPath string `json:"contigs_path,omitempty"`
 	// RebuildOnCorrupt falls back to rebuilding from ContigsPath when
-	// the index file fails its checksum.
+	// the index file fails its checksum or is in a retired format.
 	RebuildOnCorrupt bool `json:"rebuild_on_corrupt,omitempty"`
 	// Shards applies to a rebuild (a loaded index keeps its own).
 	Shards int `json:"shards,omitempty"`

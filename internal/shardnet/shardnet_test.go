@@ -67,7 +67,7 @@ func startServer(t *testing.T, tables map[int]*sketch.FrozenTable, info Info) st
 
 // probeBatch routes nprobes random single-trial probes through
 // ShardOf and returns them grouped per shard, mirroring what
-// core.Session.scanRemoteWords sends.
+// core.Session.scanWords sends.
 func probeBatch(p, trials, nprobes int, seed int64) (perShardTrials map[int][]int32, perShardWords map[int][]sketch.Word) {
 	rng := rand.New(rand.NewSource(seed))
 	perShardTrials = make(map[int][]int32)

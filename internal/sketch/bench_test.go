@@ -83,20 +83,6 @@ func BenchmarkFreezePayloads(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeMergeHashTable(b *testing.B) {
-	// The hash-map alternative to FreezePayloads, for comparison.
-	t, payloads := benchPayloads(b, 16, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb := NewTable(t)
-		for _, p := range payloads {
-			if err := tb.DecodeInto(bytes.NewReader(p)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkLookupFrozenVsMutable compares the two serving layouts on
 // the same table at production-ish scale (≥100 indexed contigs): the
 // sorted-array frozen form the sealed mapper serves from must not be

@@ -8,12 +8,10 @@ import (
 	"repro/internal/kmer"
 )
 
-// Flat frozen-table payload: the out-of-core (JEMIDX06) encoding of a
+// Flat frozen-table payload: the (JEMIDX06) on-disk encoding of a
 // FrozenTable, laid out so the serving structures can be built over
-// the raw bytes with zero copies. Where the streaming encoding
-// (FrozenTable.Encode) is a compact wire format that must be decoded
-// into freshly allocated arrays — and rebuilds the radix bucket
-// directory afterwards — the flat payload IS the serving layout:
+// the raw bytes with zero copies — the flat payload IS the serving
+// layout:
 //
 //	u32  trial count T
 //	T ×  48-byte trial directory entry:
@@ -28,9 +26,9 @@ import (
 // Every section offset is 8-byte aligned, so when the payload itself
 // sits at an aligned file offset (JEMIDX06 page-aligns each shard) an
 // mmap'd view can alias the words/offsets/postings/buckets arrays
-// directly — including the bucket directory, which the streaming
-// format rebuilds on the heap at every load. On little-endian hosts a
-// view therefore allocates nothing proportional to the table.
+// directly — the bucket directory included, so nothing is rebuilt at
+// load. On little-endian hosts a view therefore allocates nothing
+// proportional to the table.
 const (
 	flatDirEntrySize = 48
 	flatAlign        = 8

@@ -5,40 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzDecodeFrozenTable asserts the frozen-table decoder never panics
-// on arbitrary bytes and that every accepted table re-encodes to an
-// equivalent decodable form.
-func FuzzDecodeFrozenTable(f *testing.F) {
-	tb := NewTable(2)
-	tb.InsertPositional(1, [][]Word{{5}, {6, 7}}, [][]int32{{10}, {20, 30}})
-	var buf bytes.Buffer
-	if err := tb.Freeze().Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0})
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeFrozenTable(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := got.Encode(&out); err != nil {
-			t.Fatalf("re-encode of accepted frozen table failed: %v", err)
-		}
-		again, err := DecodeFrozenTable(&out)
-		if err != nil {
-			t.Fatalf("decode of re-encoding failed: %v", err)
-		}
-		if again.Entries() != got.Entries() || again.T() != got.T() {
-			t.Fatalf("unstable round trip: %d/%d vs %d/%d",
-				again.Entries(), again.T(), got.Entries(), got.T())
-		}
-	})
-}
-
 // FuzzQuerySketch asserts query sketching never panics on arbitrary
 // segments. The corpus seeds cover the pathological shapes around the
 // former querySketchTuples sentinel bug: homopolymer runs whose packed
@@ -62,43 +28,6 @@ func FuzzQuerySketch(f *testing.F) {
 		}
 		if words != nil && (len(words) != sk.Params().T || len(pos) != sk.Params().T) {
 			t.Fatalf("got %d words / %d positions, want %d", len(words), len(pos), sk.Params().T)
-		}
-	})
-}
-
-// FuzzDecodeTable asserts the binary decoder never panics on arbitrary
-// bytes and that every accepted table re-encodes to a decodable form.
-func FuzzDecodeTable(f *testing.F) {
-	// Seed with a real encoding.
-	tb := NewTable(2)
-	tb.InsertPositional(1, [][]Word{{5}, {6, 7}}, [][]int32{{10}, {20, 30}})
-	var buf bytes.Buffer
-	if err := tb.Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0})
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeTable(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := got.Encode(&out); err != nil {
-			t.Fatalf("re-encode of accepted table failed: %v", err)
-		}
-		if out.Len() != got.EncodedSize() {
-			t.Fatalf("EncodedSize %d != re-encoded %d", got.EncodedSize(), out.Len())
-		}
-		again, err := DecodeTable(&out)
-		if err != nil {
-			t.Fatalf("decode of re-encoding failed: %v", err)
-		}
-		if again.Entries() != got.Entries() || again.T() != got.T() {
-			t.Fatalf("unstable round trip: %d/%d vs %d/%d",
-				again.Entries(), again.T(), got.Entries(), got.T())
 		}
 	})
 }

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -301,6 +302,9 @@ func TestTableMerge(t *testing.T) {
 	}
 }
 
+// TestTableEncodeDecodeRoundTrip: the gather payload Encode emits
+// decodes, through FreezePayloads, into a table with the same trials,
+// words and entries as the table that wrote it.
 func TestTableEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	tb := NewTable(4)
@@ -318,10 +322,7 @@ func TestTableEncodeDecodeRoundTrip(t *testing.T) {
 	if err := tb.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != tb.EncodedSize() {
-		t.Errorf("EncodedSize %d != actual %d", tb.EncodedSize(), buf.Len())
-	}
-	got, err := DecodeTable(&buf)
+	got, err := FreezePayloads(tb.T(), [][]byte{buf.Bytes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,17 +333,6 @@ func TestTableEncodeDecodeRoundTrip(t *testing.T) {
 		if got.Words(tr) != tb.Words(tr) {
 			t.Errorf("trial %d words %d != %d", tr, got.Words(tr), tb.Words(tr))
 		}
-	}
-}
-
-func TestDecodeTableRejectsGarbage(t *testing.T) {
-	if _, err := DecodeTable(bytes.NewReader([]byte{1, 2})); err == nil {
-		t.Error("truncated header should fail")
-	}
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // implausible trial count
-	if _, err := DecodeTable(&buf); err == nil {
-		t.Error("absurd trial count should fail")
 	}
 }
 
@@ -395,81 +385,13 @@ func TestPositionalEncodeRoundTrip(t *testing.T) {
 	if err := tb.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != tb.EncodedSize() {
-		t.Errorf("EncodedSize %d != actual %d", tb.EncodedSize(), buf.Len())
-	}
-	got, err := DecodeTable(&buf)
+	got, err := FreezePayloads(1, [][]byte{buf.Bytes()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	list := got.Lookup(0, 7)
 	if len(list) != 2 || list[0] != (Posting{3, 1234}) || list[1] != (Posting{5, -1}) {
 		t.Errorf("decoded = %v", list)
-	}
-}
-
-func TestDecodeIntoEqualsDecodeThenMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	mk := func(subjects []int32) (*Table, []byte) {
-		tb := NewTable(3)
-		for _, s := range subjects {
-			perTrial := make([][]kmer.Word, 3)
-			anchors := make([][]int32, 3)
-			for tr := range perTrial {
-				n := 1 + rng.Intn(4)
-				for i := 0; i < n; i++ {
-					perTrial[tr] = append(perTrial[tr], kmer.Word(rng.Intn(50)))
-					anchors[tr] = append(anchors[tr], int32(rng.Intn(10000)))
-				}
-			}
-			tb.InsertPositional(s, perTrial, anchors)
-		}
-		var buf bytes.Buffer
-		if err := tb.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return tb, buf.Bytes()
-	}
-	_, b1 := mk([]int32{0, 1, 2})
-	_, b2 := mk([]int32{3, 4})
-
-	viaMerge := NewTable(3)
-	for _, b := range [][]byte{b1, b2} {
-		dec, err := DecodeTable(bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaMerge.Merge(dec)
-	}
-	viaInto := NewTable(3)
-	for _, b := range [][]byte{b1, b2} {
-		if err := viaInto.DecodeInto(bytes.NewReader(b)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if viaInto.Entries() != viaMerge.Entries() {
-		t.Fatalf("entries %d != %d", viaInto.Entries(), viaMerge.Entries())
-	}
-	for tr := 0; tr < 3; tr++ {
-		if viaInto.Words(tr) != viaMerge.Words(tr) {
-			t.Fatalf("trial %d words %d != %d", tr, viaInto.Words(tr), viaMerge.Words(tr))
-		}
-		for w := kmer.Word(0); w < 50; w++ {
-			a, b := viaInto.Lookup(tr, w), viaMerge.Lookup(tr, w)
-			if len(a) != len(b) {
-				t.Fatalf("trial %d word %d: %v vs %v", tr, w, a, b)
-			}
-			// Same multiset (order may differ across merge strategies
-			// only when payload order differs — here it is identical).
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("trial %d word %d posting %d: %v vs %v", tr, w, i, a, b)
-				}
-			}
-		}
-	}
-	if err := viaInto.DecodeInto(bytes.NewReader([]byte{9, 0, 0, 0})); err == nil {
-		t.Error("trial-count mismatch should fail")
 	}
 }
 
@@ -635,63 +557,71 @@ func TestFreezeDirectMatchesPayloadMerge(t *testing.T) {
 	}
 }
 
-// TestFrozenEncodeDecodeRoundTrip pins the JEMIDX03 table section:
-// encode a frozen table, decode it, and compare every lookup.
+// TestFrozenEncodeDecodeRoundTrip pins the JEMIDX06 shard payload:
+// encode a frozen table in the flat layout, then decode it onto the
+// heap and view it in place, and compare every lookup.
 func TestFrozenEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for _, nSubjects := range []int{0, 1, 25} {
 		ft := randomTable(t, rng, 3, nSubjects).Freeze()
-		var buf bytes.Buffer
-		if err := ft.Encode(&buf); err != nil {
-			t.Fatal(err)
+		buf := ft.EncodeFlat()
+		if int64(len(buf)) != ft.FlatSize() {
+			t.Fatalf("nSubjects=%d: FlatSize %d != encoded %d", nSubjects, ft.FlatSize(), len(buf))
 		}
-		got, err := DecodeFrozenTable(&buf)
+		decoded, err := DecodeFlatFrozen(buf)
 		if err != nil {
-			t.Fatalf("nSubjects=%d: %v", nSubjects, err)
+			t.Fatalf("nSubjects=%d: decode: %v", nSubjects, err)
 		}
-		if got.Entries() != ft.Entries() || got.T() != ft.T() {
-			t.Fatalf("nSubjects=%d: entries/T %d/%d != %d/%d",
-				nSubjects, got.Entries(), got.T(), ft.Entries(), ft.T())
+		viewed, err := ViewFlatFrozen(buf)
+		if err != nil {
+			t.Fatalf("nSubjects=%d: view: %v", nSubjects, err)
 		}
-		for tr := 0; tr < ft.T(); tr++ {
-			for w := kmer.Word(0); w < 320; w++ {
-				if !reflect.DeepEqual(got.Lookup(tr, w), ft.Lookup(tr, w)) {
-					t.Fatalf("trial %d word %d postings differ after round trip", tr, w)
+		for _, got := range []*FrozenTable{decoded, viewed} {
+			if got.Entries() != ft.Entries() || got.T() != ft.T() {
+				t.Fatalf("nSubjects=%d: entries/T %d/%d != %d/%d",
+					nSubjects, got.Entries(), got.T(), ft.Entries(), ft.T())
+			}
+			for tr := 0; tr < ft.T(); tr++ {
+				for w := kmer.Word(0); w < 320; w++ {
+					if !reflect.DeepEqual(got.Lookup(tr, w), ft.Lookup(tr, w)) {
+						t.Fatalf("trial %d word %d postings differ after round trip", tr, w)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestDecodeFrozenTableRejectsCorrupt checks the decoder's structural
-// validation: unsorted words and non-monotone offsets must fail, not
-// produce a table that breaks binary search.
+// TestDecodeFrozenTableRejectsCorrupt checks the flat decoders'
+// structural validation: unsorted words, non-monotone offsets and a
+// truncated payload must fail, not produce a table that breaks binary
+// search.
 func TestDecodeFrozenTableRejectsCorrupt(t *testing.T) {
-	ft := NewTable(1)
-	ft.InsertPositional(1, [][]kmer.Word{{5, 9}}, [][]int32{{10, 20}})
-	var buf bytes.Buffer
-	if err := ft.Freeze().Encode(&buf); err != nil {
-		t.Fatal(err)
+	tb := NewTable(1)
+	tb.InsertPositional(1, [][]kmer.Word{{5, 9}}, [][]int32{{10, 20}})
+	good := tb.Freeze().EncodeFlat()
+	le := binary.LittleEndian
+	// Trial 0's directory entry follows the u32 trial count.
+	wordsOff, offsetsOff, postingsOff := le.Uint64(good[4+16:]), le.Uint64(good[4+24:]), le.Uint64(good[4+32:])
+	reject := func(what string, buf []byte) {
+		t.Helper()
+		if _, err := DecodeFlatFrozen(buf); err == nil {
+			t.Errorf("decode: %s should fail", what)
+		}
+		if _, err := ViewFlatFrozen(buf); err == nil {
+			t.Errorf("view: %s should fail", what)
+		}
 	}
-	good := buf.Bytes()
-	// Layout: u32 T, u32 nwords, u32 npostings, 2×u64 words, 2×u32
-	// offsets, postings. Swap the two words to break sortedness.
+	// Swap the two words to break sortedness.
 	corrupt := append([]byte(nil), good...)
-	copy(corrupt[12:20], good[20:28])
-	copy(corrupt[20:28], good[12:20])
-	if _, err := DecodeFrozenTable(bytes.NewReader(corrupt)); err == nil {
-		t.Error("unsorted words should fail")
-	}
-	// Decrease the final offset below the posting count.
+	copy(corrupt[wordsOff:], good[wordsOff+8:wordsOff+16])
+	copy(corrupt[wordsOff+8:], good[wordsOff:wordsOff+8])
+	reject("unsorted words", corrupt)
+	// Lower the final offset (was 2) below the posting count.
 	corrupt = append([]byte(nil), good...)
-	corrupt[32] = 1 // offsets[2] (was 2): now ends short of npostings
-	if _, err := DecodeFrozenTable(bytes.NewReader(corrupt)); err == nil {
-		t.Error("offset/posting-count mismatch should fail")
-	}
-	// Truncate.
-	if _, err := DecodeFrozenTable(bytes.NewReader(good[:len(good)-3])); err == nil {
-		t.Error("truncated stream should fail")
-	}
+	le.PutUint32(corrupt[offsetsOff+8:], 1)
+	reject("offset/posting-count mismatch", corrupt)
+	reject("truncated payload", good[:postingsOff+4])
 }
 
 // TestQuerySketchDegenerateHashFamily regresses the sentinel bug in

@@ -130,23 +130,9 @@ func (tb *Table) Merge(other *Table) {
 // Words returns the number of distinct sketch words in trial t.
 func (tb *Table) Words(t int) int { return len(tb.trials[t]) }
 
-// EncodedSize returns the exact number of bytes Encode would emit —
-// the Allgatherv payload size used by the communication-cost model.
-func (tb *Table) EncodedSize() int {
-	// Header: uint32 T. Per trial: uint32 #words. Per word: uint64
-	// word + uint32 list length + 8 bytes per posting.
-	n := 4
-	for _, bin := range tb.trials {
-		n += 4
-		for _, list := range bin {
-			n += 8 + 4 + 8*len(list)
-		}
-	}
-	return n
-}
-
 // Encode serializes the table deterministically (words sorted within
-// each trial) in little-endian binary.
+// each trial) in little-endian binary: the per-rank payload of the
+// distributed gather step, which FreezePayloads merges.
 func (tb *Table) Encode(w io.Writer) error {
 	bw := newByteWriter(w)
 	bw.u32(uint32(len(tb.trials)))
@@ -168,92 +154,6 @@ func (tb *Table) Encode(w io.Writer) error {
 		}
 	}
 	return bw.flush()
-}
-
-// DecodeTable reads a table previously written by Encode.
-func DecodeTable(r io.Reader) (*Table, error) {
-	br := byteReader{r: r}
-	t, err := br.u32()
-	if err != nil {
-		return nil, err
-	}
-	if t == 0 || t > 1<<20 {
-		return nil, fmt.Errorf("sketch: implausible trial count %d", t)
-	}
-	tb := NewTable(int(t))
-	if err := tb.decodeInto(&br, true); err != nil {
-		return nil, err
-	}
-	return tb, nil
-}
-
-// DecodeInto merges an encoded table directly into tb, skipping the
-// intermediate table DecodeTable+Merge would build — this is the hot
-// path of the distributed gather step, where every rank folds p
-// encoded payloads into its global table. Unlike DecodeTable it
-// tolerates words already present in tb (postings are appended), since
-// different ranks legitimately sketch the same word.
-func (tb *Table) DecodeInto(r io.Reader) error {
-	br := byteReader{r: r}
-	t, err := br.u32()
-	if err != nil {
-		return err
-	}
-	if int(t) != tb.T() {
-		return fmt.Errorf("sketch: payload has %d trials, table has %d", t, tb.T())
-	}
-	return tb.decodeInto(&br, false)
-}
-
-// decodeInto reads trial bins from br into tb. strictDup rejects
-// duplicate words within one payload's trial (single-table decode
-// invariant); merge mode appends instead.
-func (tb *Table) decodeInto(br *byteReader, strictDup bool) error {
-	t := tb.T()
-	for ti := 0; ti < t; ti++ {
-		nw, err := br.u32()
-		if err != nil {
-			return err
-		}
-		bin := tb.trials[ti]
-		for i := 0; i < int(nw); i++ {
-			word, err := br.u64()
-			if err != nil {
-				return err
-			}
-			list, present := bin[kmer.Word(word)]
-			if present && strictDup {
-				return fmt.Errorf("sketch: duplicate word %d in trial %d", word, ti)
-			}
-			ln, err := br.u32()
-			if err != nil {
-				return err
-			}
-			// Never trust ln for allocation: a corrupt stream could
-			// claim 2^32 postings. Grow with the bytes actually read.
-			if list == nil {
-				capHint := int(ln)
-				if capHint > 4096 {
-					capHint = 4096
-				}
-				list = make([]Posting, 0, capHint)
-			}
-			for j := 0; j < int(ln); j++ {
-				s, err := br.u32()
-				if err != nil {
-					return err
-				}
-				a, err := br.u32()
-				if err != nil {
-					return err
-				}
-				list = append(list, Posting{Subject: int32(s), Anchor: int32(a)})
-				tb.entries++
-			}
-			bin[kmer.Word(word)] = list
-		}
-	}
-	return nil
 }
 
 type byteWriter struct {
@@ -289,23 +189,4 @@ func (bw *byteWriter) flush() error {
 		bw.buf = bw.buf[:0]
 	}
 	return bw.err
-}
-
-type byteReader struct {
-	r   io.Reader
-	tmp [8]byte
-}
-
-func (br *byteReader) u32() (uint32, error) {
-	if _, err := io.ReadFull(br.r, br.tmp[:4]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(br.tmp[:4]), nil
-}
-
-func (br *byteReader) u64() (uint64, error) {
-	if _, err := io.ReadFull(br.r, br.tmp[:8]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(br.tmp[:8]), nil
 }

@@ -26,9 +26,11 @@ type OpenOptions struct {
 	IndexPath string
 	// RebuildOnCorrupt falls back to building from Contigs when the
 	// file at IndexPath fails its checksum verification
-	// (ErrIndexChecksum) — on-disk corruption of a once-valid index.
-	// Other load errors (missing file, unknown format) are returned
-	// as-is, and the fallback requires Contigs.
+	// (ErrIndexChecksum) — on-disk corruption of a once-valid index —
+	// or is in a retired format this build no longer reads
+	// (ErrIndexFormat, JEMIDX02–05). Other load errors (missing file,
+	// not an index) are returned as-is, and the fallback requires
+	// Contigs.
 	RebuildOnCorrupt bool
 	// ShardServers, when non-empty, serves queries from a fleet of
 	// shard-server processes (jem-shardd) at these addresses
@@ -52,8 +54,9 @@ type OpenOptions struct {
 type OpenInfo struct {
 	// FromIndex is true when the mapper was loaded from IndexPath.
 	FromIndex bool
-	// Rebuilt is true when the index at IndexPath was corrupt and the
-	// mapper was rebuilt from Contigs instead (RebuildOnCorrupt).
+	// Rebuilt is true when the index at IndexPath was corrupt or in a
+	// retired format and the mapper was rebuilt from Contigs instead
+	// (RebuildOnCorrupt).
 	Rebuilt bool
 	// Remote is true when the mapper serves through a shard-server
 	// fleet (ShardServers) rather than local tables.
@@ -64,8 +67,8 @@ type OpenInfo struct {
 	IndexErr error
 	// Memory reports what the open did with memory: the per-shard
 	// residency and the open-time resident/mapped byte split (see
-	// Options.Memory). Builds, rebuilds and pre-JEMIDX06 loads report
-	// MemoryHeap; a remote mapper reports no local shards.
+	// Options.Memory). Builds and rebuilds report MemoryHeap; a remote
+	// mapper reports no local shards.
 	Memory MemoryInfo
 }
 
@@ -75,8 +78,8 @@ type OpenInfo struct {
 //   - IndexPath set: load the saved index; Contigs, if given, supply
 //     record metadata the index does not store.
 //   - IndexPath set + RebuildOnCorrupt: as above, but a checksum
-//     failure falls back to building from Contigs, reported in
-//     OpenInfo rather than as an error.
+//     failure or a retired index format falls back to building from
+//     Contigs, reported in OpenInfo rather than as an error.
 //
 // The returned OpenInfo says which path ran. Open validates
 // Options for the build paths (NewMapper does), and returns typed
@@ -112,7 +115,8 @@ func Open(opts OpenOptions) (*Mapper, OpenInfo, error) {
 			info.Memory = mem
 			return m, info, nil
 		}
-		if !opts.RebuildOnCorrupt || opts.Contigs == nil || !errors.Is(err, ErrIndexChecksum) {
+		if !opts.RebuildOnCorrupt || opts.Contigs == nil ||
+			!(errors.Is(err, ErrIndexChecksum) || errors.Is(err, ErrIndexFormat)) {
 			return nil, info, err
 		}
 		info.Rebuilt = true
@@ -178,10 +182,10 @@ func openRemote(opts OpenOptions) (*Mapper, error) {
 
 // openIndexFile loads the index file honoring the Memory spec and
 // adopts the caller's serving knobs (the index stores sketch
-// parameters, not serving preferences). A JEMIDX06 file under
-// MemoryMMap or MemoryAuto is served from a read-only file mapping
-// (owned by the returned mapper — released by Mapper.Close); anything
-// else decodes onto the heap.
+// parameters, not serving preferences). Under MemoryMMap or
+// MemoryAuto the index is served from a read-only file mapping (owned
+// by the returned mapper — released by Mapper.Close); MemoryHeap
+// decodes onto the heap.
 func openIndexFile(opts OpenOptions) (*Mapper, MemoryInfo, error) {
 	reg := opts.Options.Metrics
 	if reg == nil {
@@ -191,14 +195,10 @@ func openIndexFile(opts OpenOptions) (*Mapper, MemoryInfo, error) {
 	rd := sp.Child("read")
 	cm, ci, closer, err := core.OpenIndexFileObserved(opts.IndexPath, opts.Options.Memory.spec(), rd)
 	rd.End()
+	sp.End()
 	if err != nil {
-		sp.End()
 		return nil, MemoryInfo{}, fmt.Errorf("jem: loading index: %w", err)
 	}
-	// Mapped loads arrive sealed; legacy mutable-table formats freeze
-	// here so serving always takes the frozen path.
-	sp.Time("freeze", func() { cm.Seal() })
-	sp.End()
 	met := newMapperMetrics(reg, cm)
 	p := cm.Sketcher().Params()
 	o := Options{

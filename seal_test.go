@@ -11,10 +11,11 @@ import (
 )
 
 // TestSealedFacadeMatchesUnsealedCoreTSV is the end-to-end guarantee
-// behind making the frozen table the default serving path: a facade
-// mapper (always sealed) and a plain unsealed core mapper over the
-// same synthetic contigs must emit byte-identical TSV for the same
-// reads.
+// behind serving from the frozen table: a facade mapper (always
+// sealed) must emit byte-identical TSV to Algorithm 2 computed
+// directly over an unsealed core mapper's mutable hash-map table —
+// per segment, a fresh map counting the subjects hit by the T trial
+// words, ties toward the lower subject id.
 func TestSealedFacadeMatchesUnsealedCoreTSV(t *testing.T) {
 	ds := buildSmallDataset(t)
 	opts := jem.DefaultOptions()
@@ -28,8 +29,7 @@ func TestSealedFacadeMatchesUnsealedCoreTSV(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: the pre-sealing serving path — a mutable hash-table
-	// core mapper — rendered with the same row format.
+	// Reference: the unsealed mutable table, counted with a plain map.
 	p := sketch.Params{K: opts.K, W: opts.W, T: opts.Trials, L: opts.SegmentLen, Seed: opts.Seed}
 	cm, err := core.NewMapper(p)
 	if err != nil {
@@ -39,19 +39,37 @@ func TestSealedFacadeMatchesUnsealedCoreTSV(t *testing.T) {
 	if cm.Sealed() {
 		t.Fatal("reference mapper must stay unsealed")
 	}
+	best := func(seg []byte) (core.Hit, bool) {
+		counts := map[int32]int32{}
+		for tr, w := range cm.Sketcher().QuerySketch(seg) {
+			for _, p := range cm.Table().Lookup(tr, w) {
+				counts[p.Subject]++
+			}
+		}
+		hit := core.Hit{Subject: -1}
+		for subj, c := range counts {
+			if c > hit.Count || (c == hit.Count && subj < hit.Subject) {
+				hit = core.Hit{Subject: subj, Count: c}
+			}
+		}
+		return hit, len(counts) > 0
+	}
 	var refTSV bytes.Buffer
 	fmt.Fprintln(&refTSV, "read_id\tend\tcontig_id\tshared_trials")
-	for _, r := range cm.MapReads(ds.Reads, opts.SegmentLen, 2) {
-		end := jem.PrefixEnd
-		if r.Kind == core.Suffix {
-			end = jem.SuffixEnd
+	for _, r := range ds.Reads {
+		segs, kinds := core.EndSegments(r.Seq, opts.SegmentLen)
+		for i, seg := range segs {
+			end := jem.PrefixEnd
+			if kinds[i] == core.Suffix {
+				end = jem.SuffixEnd
+			}
+			contig, trials := "*", "0"
+			if hit, ok := best(seg); ok {
+				contig = cm.Subject(hit.Subject).Name
+				trials = fmt.Sprintf("%d", hit.Count)
+			}
+			fmt.Fprintf(&refTSV, "%s\t%s\t%s\t%s\n", r.ID, end, contig, trials)
 		}
-		contig, trials := "*", "0"
-		if r.Mapped() {
-			contig = cm.Subject(r.Subject).Name
-			trials = fmt.Sprintf("%d", r.Count)
-		}
-		fmt.Fprintf(&refTSV, "%s\t%s\t%s\t%s\n", ds.Reads[r.ReadIndex].ID, end, contig, trials)
 	}
 
 	if !bytes.Equal(sealedTSV.Bytes(), refTSV.Bytes()) {

@@ -27,11 +27,11 @@ func mergeShardWork(dst, src []core.ShardWork) []core.ShardWork {
 
 // attachStreamSpans turns one finished run's phase accumulators into
 // children of the request span: read/sketch/gather/write phase spans,
-// per-shard children under gather (sharded index only), and run stats
-// as attributes. Phases overlap in wall time (the stream is
-// pipelined), so these children measure work inside each phase, not a
-// partition of the request's elapsed time; sketch is worker time not
-// attributed to shard scans.
+// per-shard children under gather (one per serving shard, so P=1 too),
+// and run stats as attributes. Phases overlap in wall time (the stream
+// is pipelined), so these children measure work inside each phase, not
+// a partition of the request's elapsed time; sketch is worker time not
+// attributed to shard lookups.
 func attachStreamSpans(sp *obs.Span, st Stats, shards []core.ShardWork) {
 	sp.AddTimed("read", st.ReadWall)
 	var gather time.Duration

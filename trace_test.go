@@ -115,8 +115,10 @@ func TestStreamAttachesSpans(t *testing.T) {
 	}
 }
 
-// TestStreamSpansUnsharded: a monolithic index has no gather phase —
-// the trace shows read/sketch/write only.
+// TestStreamSpansUnsharded: a monolithic index is the one-shard case,
+// so its trace carries a gather phase with a single shard00 child whose
+// postings are the run's whole PostingsScanned — lookup time is
+// measured, not folded into the sketch residual.
 func TestStreamSpansUnsharded(t *testing.T) {
 	ds := buildSmallDataset(t)
 	mapper, err := jem.NewMapper(ds.Contigs, jem.DefaultOptions())
@@ -129,16 +131,28 @@ func TestStreamSpansUnsharded(t *testing.T) {
 	}
 	root := obs.NewSpan("request")
 	ctx := obs.ContextWithSpan(t.Context(), root)
-	if _, err := mapper.Stream(ctx, &reads, &out, jem.StreamOptions{}); err != nil {
+	stats, err := mapper.Stream(ctx, &reads, &out, jem.StreamOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if spanByName(root, "gather") != nil {
-		t.Error("unsharded stream attached a gather span")
-	}
-	for _, phase := range []string{"read", "sketch", "write"} {
+	for _, phase := range []string{"read", "sketch", "gather", "write"} {
 		if spanByName(root, phase) == nil {
 			t.Errorf("request span missing %q phase child", phase)
 		}
+	}
+	gather := spanByName(root, "gather")
+	if gather == nil {
+		t.FailNow()
+	}
+	kids := gather.Children()
+	if len(kids) != 1 || kids[0].Name() != "shard00" {
+		t.Fatalf("gather children = %d, want exactly shard00", len(kids))
+	}
+	if v, ok := attrValue(kids[0], "postings"); !ok || v.(int64) != stats.PostingsScanned {
+		t.Errorf("shard00 postings = %v, want Stats.PostingsScanned %d", v, stats.PostingsScanned)
+	}
+	if stats.PostingsScanned == 0 {
+		t.Error("no postings scanned — the fixture maps nothing, test is vacuous")
 	}
 }
 
