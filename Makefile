@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-tests lint-fix api-check api-update test test-short fault-test serve-smoke dist-smoke obs-smoke mem-smoke bench bench-smoke bench-core bench-obs bench-dist bench-mem metrics-demo fuzz repro repro-quick clean
+.PHONY: all build vet lint lint-tests lint-fix api-check api-update test test-short fault-test serve-smoke dist-smoke obs-smoke mem-smoke bench bench-smoke perf-smoke metrics-demo fuzz repro repro-quick clean
 
 all: build vet lint lint-tests api-check test
 
@@ -101,29 +101,17 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Refresh the committed perf trajectory point (BENCH_core.json at the
-# repo root). Run on a quiet machine and commit the diff; git history
-# of the file is the performance trajectory.
-bench-core:
-	$(GO) run ./cmd/jem-bench core
-
-# Refresh the committed tracing-overhead point (BENCH_obs.json): the
-# same streaming run with tracing off vs on, interleaved passes. The
-# traced run must stay within a few percent of the untraced one.
-bench-obs:
-	$(GO) run ./cmd/jem-bench obs
-
-# Refresh the committed distributed-overhead point (BENCH_dist.json):
-# the same streaming run against the local sharded backend vs an
-# in-process shard-server fleet at p=2/4/8, byte-identity asserted.
-bench-dist:
-	$(GO) run ./cmd/jem-bench dist
-
-# Refresh the committed memory-mode point (BENCH_mem.json): cold-open
-# cost, resident/mapped split, and ns/read for heap vs mmap vs a
-# budgeted auto open of the same saved index.
-bench-mem:
-	$(GO) run ./cmd/jem-bench mem
+# One short run of every benchmark workload through the repo's benchmark
+# harness (perfbench/, declared in BENCHMARK.json), then one traced run.
+# Inputs are full size; only the measured phase is shortened. run.py
+# exits non-zero when any output differs from the reference build, so
+# this is an end-to-end output check, not a measurement. Performance
+# numbers come from full-length runs: see perfbench/README.md.
+perf-smoke:
+	for w in stream-unique stream-repeats serve-fleet; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
+	python3 perfbench/run.py --workload stream-unique --seed 1 --seconds 2 --trace 1
 
 # End-to-end observability demo: synthesize a tiny dataset, run the
 # streaming mapper with a live metrics server, and scrape /metrics and

@@ -62,7 +62,7 @@ func main() {
 		l           = flag.Int("l", 1000, "end segment / interval length (bp)")
 		seed        = flag.Int64("seed", 1, "hash family seed")
 		workers     = flag.Int("workers", 0, "goroutines (0 = all cores)")
-		shards      = flag.Int("shards", 0, "partition the sketch index into this many shards (0/1 = unsharded; sharded and unsharded output is identical)")
+		shards      = flag.Int("shards", 0, "partition the sketch index into this many shards (0 and 1 mean one shard; output is identical for any shard count)")
 		ranks       = flag.Int("p", 0, "simulated MPI ranks (0 = shared-memory run)")
 		outPath     = flag.String("o", "", "output TSV path (default stdout)")
 		paf         = flag.Bool("paf", false, "write PAF with positional estimates instead of TSV")

@@ -65,7 +65,7 @@ func main() {
 		t         = flag.Int("t", 30, "sketch trials T (builds from -contigs)")
 		l         = flag.Int("l", 1000, "end segment length (builds from -contigs)")
 		seed      = flag.Int64("seed", 1, "hash family seed (builds from -contigs)")
-		shards    = flag.Int("shards", 0, "index shards for builds (0/1 = unsharded)")
+		shards    = flag.Int("shards", 0, "index shards for builds (0 and 1 mean one shard)")
 		memory    = flag.String("memory", "", "how -index loads hold the table: heap, mmap, or auto (builds are always heap)")
 		memBudget = flag.Int64("memory-budget", 0, "heap byte budget for -memory auto (0 = no cap)")
 		inflight  = flag.Int("max-in-flight", 0, "concurrent mapping requests (0 = default 4)")

@@ -985,37 +985,6 @@ func mapOneRead(sess *Session, readIndex int32, read []byte, l int) []Result {
 	return results
 }
 
-// MapSegments maps pre-extracted segments (the form the distributed
-// driver uses, where Q already holds 2m ℓ-length sequences).
-func (m *Mapper) MapSegments(segments [][]byte, workers int) []Hit {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	hits := make([]Hit, len(segments))
-	var wg sync.WaitGroup
-	idx := make(chan int, 4*workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sess := m.NewSession()
-			for i := range idx {
-				h, ok := sess.MapSegment(segments[i])
-				if !ok {
-					h = Hit{Subject: -1}
-				}
-				hits[i] = h
-			}
-		}()
-	}
-	for i := range segments {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return hits
-}
-
 // String renders a result for diagnostics.
 func (r Result) String() string {
 	return fmt.Sprintf("read %d %s -> subject %d (hits %d)", r.ReadIndex, r.Kind, r.Subject, r.Count)

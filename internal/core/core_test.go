@@ -238,30 +238,6 @@ func TestMapReadsDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestMapSegmentsMatchesMapReads(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	_, contigs, reads, _ := makeWorld(t, rng, 15_000, 700, 15)
-	p := smallParams()
-	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
-	m.Seal()
-	results := m.MapReads(reads, p.L, 2)
-	var segments [][]byte
-	for _, r := range reads {
-		segs, _ := EndSegments(r.Seq, p.L)
-		segments = append(segments, segs...)
-	}
-	hits := m.MapSegments(segments, 2)
-	if len(hits) != len(results) {
-		t.Fatalf("%d hits vs %d results", len(hits), len(results))
-	}
-	for i := range hits {
-		if hits[i].Subject != results[i].Subject {
-			t.Fatalf("segment %d: %v vs %v", i, hits[i], results[i])
-		}
-	}
-}
-
 // TestRegisterSubjectsAndSetShardedEquivalence: the distributed build
 // path — subject metadata registered up front, per-rank tables built
 // separately, gathered by FreezePayloads and installed with SetSharded

@@ -62,13 +62,12 @@ type Options struct {
 	Seed int64
 	// Workers bounds goroutine parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Shards selects the serving backend: values > 1 partition the
-	// frozen sketch index into that many independent shards (a
-	// deterministic hash of ⟨trial, word⟩ routes each posting list to
-	// exactly one shard), built concurrently and queried scatter-gather.
-	// Mapping results are byte-identical to the unsharded backend for
-	// any shard count; sharding parallelizes index build, save and
-	// load, and bounds per-shard memory. 0 and 1 mean unsharded.
+	// Shards partitions the frozen sketch index into that many
+	// independent shards (a deterministic hash of ⟨trial, word⟩ routes
+	// each posting list to exactly one shard), built concurrently and
+	// queried scatter-gather. Mapping results are byte-identical for
+	// any shard count; more shards parallelize index build, save and
+	// load, and bound per-shard memory. 0 and 1 mean one shard.
 	Shards int
 	// TileStride is the default stride of MapReadTiled in bases; 0
 	// means SegmentLen (non-overlapping tiles).
@@ -198,7 +197,7 @@ func NewMapper(contigs []Record, opts Options) (*Mapper, error) {
 
 // Shards returns the number of serving shards of the underlying
 // sketch index: Options.Shards for a sharded build, the on-disk shard
-// count for a loaded index, 1 for the unsharded backend.
+// count for a loaded index, 1 when Options.Shards is 0 or 1.
 func (m *Mapper) Shards() int { return m.core.Shards() }
 
 // Options returns the mapper's configuration.

@@ -53,7 +53,7 @@ func (o Options) Validate() error {
 		return optErr("TileStride", o.TileStride, "must be ≥ 0 (0 means SegmentLen, i.e. non-overlapping tiles)")
 	}
 	if o.Shards < 0 || o.Shards > sketch.MaxShards {
-		return optErr("Shards", o.Shards, fmt.Sprintf("must be in [0,%d] (0 and 1 mean unsharded)", sketch.MaxShards))
+		return optErr("Shards", o.Shards, fmt.Sprintf("must be in [0,%d] (0 and 1 mean one shard)", sketch.MaxShards))
 	}
 	if err := o.Memory.validate(); err != nil {
 		return err

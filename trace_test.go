@@ -31,8 +31,9 @@ func attrValue(sp *obs.Span, key string) (any, bool) {
 // TestStreamAttachesSpans pins the tracing contract of Stream: when
 // the context carries a span, the run attaches read/sketch/gather/
 // write phase children, per-shard gather children whose postings sum
-// to the run total, and the run stats as attributes. An untraced
-// context attaches nothing.
+// to the run total, and the run stats as attributes. An untraced run
+// of the same reads writes the same TSV bytes and scans the same
+// postings.
 func TestStreamAttachesSpans(t *testing.T) {
 	ds := buildSmallDataset(t)
 	opts := jem.DefaultOptions()
@@ -104,14 +105,22 @@ func TestStreamAttachesSpans(t *testing.T) {
 		}
 	}
 
-	// Untraced: no span in the context, nothing attached anywhere, and
-	// the run still succeeds (the zero-cost default path).
+	// Untraced: no span in the context, and the run (the zero-cost
+	// default path) produces exactly what the traced run did. Tracing
+	// observes the mapping; it must never change it.
 	var reads2, out2 bytes.Buffer
 	if err := writeFASTQ(&reads2, ds.Reads); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mapper.Stream(t.Context(), &reads2, &out2, jem.StreamOptions{}); err != nil {
+	untraced, err := mapper.Stream(t.Context(), &reads2, &out2, jem.StreamOptions{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(out2.Bytes(), out.Bytes()) {
+		t.Errorf("untraced TSV (%d bytes) differs from traced TSV (%d bytes)", out2.Len(), out.Len())
+	}
+	if untraced.PostingsScanned != stats.PostingsScanned {
+		t.Errorf("untraced PostingsScanned %d != traced %d", untraced.PostingsScanned, stats.PostingsScanned)
 	}
 }
 
