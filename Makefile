@@ -132,12 +132,16 @@ metrics-demo:
 	curl -sf http://$(METRICS_ADDR)/statusz; \
 	wait $$pid
 
-# Short fuzz sessions over the fuzz targets.
+# Short fuzz sessions over the fuzz targets. FuzzReadIndex's JEMIDX06
+# seeds are 8-14 KB (page-aligned payloads), and minimizing each new
+# input under the default 60 s budget stalls a short session within
+# its first ~1k execs; 100 execs per minimization keeps it fuzzing.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/seq/
+	$(GO) test -fuzz FuzzExtract -fuzztime $(FUZZTIME) ./internal/minimizer/
 	$(GO) test -fuzz FuzzQuerySketch -fuzztime $(FUZZTIME) ./internal/sketch/
-	$(GO) test -fuzz FuzzReadIndex -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz FuzzReadIndex -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/core/
 	$(GO) test -fuzz FuzzReadTSV -fuzztime $(FUZZTIME) .
 
 # Regenerate every table and figure (see EXPERIMENTS.md).

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -296,6 +297,12 @@ type Session struct {
 	plists  [][]sketch.Posting // per-trial postings of the current query
 	scanned int64              // postings examined across all queries
 
+	// Sketch scratch: the query sketch of the current segment, and the
+	// positional pass's forward/reverse offset votes.
+	qs       sketch.QueryScratch
+	fwdVotes []int32
+	revVotes []int32
+
 	// Scatter scratch: shardTrials groups the query's T trials by
 	// destination shard; shardTouched lists the shards the current
 	// query routed to, in first-touch order.
@@ -463,7 +470,7 @@ func (s *Session) MapSegment(segment []byte) (Hit, bool) {
 //
 //jem:hotpath
 func (s *Session) mapSegment(segment []byte) (Hit, bool) {
-	words := s.m.sk.QuerySketch(segment)
+	words, _ := s.m.sk.SketchQuery(&s.qs, segment)
 	if words == nil {
 		return Hit{Subject: -1}, false
 	}
@@ -709,7 +716,7 @@ func (s *Session) MapSegmentPositional(segment []byte) (PositionalHit, bool) {
 //
 //jem:hotpath
 func (s *Session) mapSegmentPositional(segment []byte) (PositionalHit, bool) {
-	words, qpos := s.m.sk.QuerySketchPositional(segment)
+	words, qpos := s.m.sk.SketchQuery(&s.qs, segment)
 	if words == nil {
 		return PositionalHit{Hit: Hit{Subject: -1}, TargetStart: -1}, false
 	}
@@ -726,7 +733,7 @@ func (s *Session) mapSegmentPositional(segment []byte) (PositionalHit, bool) {
 	// segment start on the subject; a reverse pair satisfies
 	// anchor + qpos ≈ start + len(segment) − k. The true hypothesis
 	// clusters tightly around one value while the false one spreads.
-	var fwd, rev []int32
+	fwd, rev := s.fwdVotes[:0], s.revVotes[:0]
 	for t := range words {
 		for _, p := range s.plists[t] {
 			if p.Subject == best.Subject && p.Anchor >= 0 {
@@ -735,6 +742,7 @@ func (s *Session) mapSegmentPositional(segment []byte) (PositionalHit, bool) {
 			}
 		}
 	}
+	s.fwdVotes, s.revVotes = fwd, rev
 	ph := PositionalHit{Hit: best, TargetStart: -1}
 	if len(fwd) == 0 {
 		return ph, true
@@ -764,7 +772,7 @@ func (s *Session) mapSegmentPositional(segment []byte) (PositionalHit, bool) {
 // ±tol of it — the cluster-size score used to pick the strand
 // hypothesis. xs is modified (sorted) in place.
 func medianCluster(xs []int32, tol int32) (median int32, votes int) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	slices.Sort(xs)
 	median = xs[len(xs)/2]
 	for _, x := range xs {
 		if x >= median-tol && x <= median+tol {
@@ -789,7 +797,7 @@ func (s *Session) MapSegmentTopK(segment []byte, k int) []Hit {
 }
 
 func (s *Session) mapSegmentTopK(segment []byte, k int) []Hit {
-	words := s.m.sk.QuerySketch(segment)
+	words, _ := s.m.sk.SketchQuery(&s.qs, segment)
 	if words == nil || k <= 0 {
 		return nil
 	}
@@ -899,10 +907,21 @@ func (s *Session) ContainedSubjects(read []byte, l int) []int32 {
 // reported as Prefix) is returned, matching the degenerate case where
 // both ends coincide.
 func EndSegments(read []byte, l int) (segments [][]byte, kinds []SegmentKind) {
+	segs, n := EndSegmentPair(read, l)
+	return append([][]byte(nil), segs[:n]...), append([]SegmentKind(nil), endKinds[:n]...)
+}
+
+// endKinds[i] is the kind of EndSegmentPair's segs[i].
+var endKinds = [2]SegmentKind{Prefix, Suffix}
+
+// EndSegmentPair is EndSegments without allocating: segs[:n] are the
+// read's end segments, segs[0] the prefix and, when n == 2, segs[1] the
+// suffix.
+func EndSegmentPair(read []byte, l int) (segs [2][]byte, n int) {
 	if len(read) <= l {
-		return [][]byte{read}, []SegmentKind{Prefix}
+		return [2][]byte{read}, 1
 	}
-	return [][]byte{read[:l], read[len(read)-l:]}, []SegmentKind{Prefix, Suffix}
+	return [2][]byte{read[:l], read[len(read)-l:]}, 2
 }
 
 // MapReads maps the end segments of every read using `workers`
@@ -971,11 +990,11 @@ func (m *Mapper) MapReadsContext(ctx context.Context, reads []seq.Record, l int,
 }
 
 func mapOneRead(sess *Session, readIndex int32, read []byte, l int) []Result {
-	segs, kinds := EndSegments(read, l)
-	results := make([]Result, len(segs))
-	for i, seg := range segs {
+	segs, n := EndSegmentPair(read, l)
+	results := make([]Result, n)
+	for i, seg := range segs[:n] {
 		hit, ok := sess.MapSegment(seg)
-		r := Result{ReadIndex: readIndex, Kind: kinds[i], Subject: -1}
+		r := Result{ReadIndex: readIndex, Kind: endKinds[i], Subject: -1}
 		if ok {
 			r.Subject = hit.Subject
 			r.Count = hit.Count

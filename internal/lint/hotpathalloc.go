@@ -28,8 +28,12 @@ var requiredHotPaths = map[string][]string{
 		"Session.mapSegmentPositional",
 		"Session.scanWords",
 	},
+	"repro/internal/minimizer": {
+		"Extractor.AppendExtract",
+	},
 	"repro/internal/sketch": {
 		"Sketcher.sketchTuples",
+		"Sketcher.SketchQuery",
 		"Sketcher.querySketchTuples",
 		"HashFamily.Hash",
 	},

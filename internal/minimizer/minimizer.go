@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/kmer"
+	"repro/internal/seq"
 )
 
 // Tuple is one minimizer occurrence: the canonical packed k-mer and the
@@ -68,13 +69,13 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// entry is one k-mer inside the sliding monotone deque. key is the
-// ordering rank (the word itself under OrderLex, its mix under
-// OrderHash).
+// entry is one k-mer of the sliding window ring. key is the ordering
+// rank (the word itself under OrderLex, its mix under OrderHash); end
+// is the sequence index of the k-mer's last base.
 type entry struct {
 	key        uint64
 	word       kmer.Word
-	pos        int32
+	end        int32
 	fwdIsCanon bool
 }
 
@@ -104,72 +105,120 @@ func Extract(s []byte, p Params) []Tuple {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	est := len(s)/(p.W/2+1) + 4
+	// Density is ≈ 2/(w+1) on random sequence (≈ 2.3/(w+1) under
+	// lexicographic ordering); 2.5/(w+1) sizes the output once.
+	est := len(s)*5/(2*(p.W+1)) + 4
 	out := make([]Tuple, 0, est)
 	return AppendExtract(out, s, p)
 }
 
+// ringInline is the window size up to which AppendExtract keeps its
+// ring on the stack; it covers the paper's w=100.
+const ringInline = 128
+
 // AppendExtract appends the minimizers of s to dst and returns the
 // extended slice, allowing callers to reuse buffers across sequences.
+// It panics on invalid p, as Extract does. For w ≤ 128 the window ring
+// lives on the stack, so the only allocation is dst's growth; callers
+// extracting many sequences with a larger w keep an Extractor instead.
 func AppendExtract(dst []Tuple, s []byte, p Params) []Tuple {
-	it := kmer.NewIterator(s, p.K)
+	var inline [ringInline]entry
+	e := Extractor{ring: inline[:]}
+	return e.AppendExtract(dst, s, p)
+}
 
-	// Monotone deque of candidate minimizers within the current
-	// window, increasing by word value; front is the minimizer.
-	var deque []entry
-	head := 0
-	idx := -1            // index of the current k-mer within its contiguous run
-	lastPos := int32(-1) // position of the previously emitted tuple
-	prevKmerPos := -2
+// Extractor is the reusable scratch of minimizer extraction: the ring
+// of the w k-mers of the current window. The zero value is ready to
+// use; the ring is sized on first use and kept across calls. An
+// Extractor is not safe for concurrent use.
+type Extractor struct {
+	ring []entry
+}
 
-	flushRun := func() {
-		deque = deque[:0]
-		head = 0
-		idx = -1
+// AppendExtract is the package-level AppendExtract over e's ring.
+//
+// One pass rolls the 2-bit forward and reverse-complement words of the
+// current k-mer straight off the base-code table and restarts the run
+// on a non-ACGT byte. The k-mers of the current window sit in a ring of
+// w entries and the window minimum is held by value. A new k-mer
+// replaces the minimum only when it ranks strictly lower, so the
+// leftmost of equal keys wins. When the minimum slides out of the
+// window the ring is rescanned from oldest to newest, again with a
+// strict <. A rescan costs w and happens at most once per emitted
+// minimizer (density ≈ 2/(w+1)): about two comparisons per k-mer.
+//
+//jem:hotpath
+func (e *Extractor) AppendExtract(dst []Tuple, s []byte, p Params) []Tuple {
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
-
-	for {
-		fwd, canon, pos, ok := it.Next()
+	w, k := p.W, p.K
+	if cap(e.ring) < w {
+		e.ring = make([]entry, w)
+	}
+	ring := e.ring[:w]
+	mask := kmer.Mask(k)
+	// comp[c] is the complement of base code c placed at the high end
+	// of a k-mer: what the reverse-complement word takes in per base.
+	shift := 2 * uint(k-1)
+	comp := [4]kmer.Word{3 << shift, 2 << shift, 1 << shift, 0}
+	var fwd, rc kmer.Word
+	var min entry
+	first := k - 1       // index of the last base of the run's first k-mer
+	expire := 0          // index at which min slides out of the window
+	slot := 0            // ring slot the next k-mer is written to
+	lastEnd := int32(-1) // end of the previously emitted minimizer
+	for i, b := range s {
+		c, ok := seq.Code(b)
 		if !ok {
-			break
+			first = i + k
+			continue
 		}
-		if pos != prevKmerPos+1 {
-			// Ambiguity gap: restart windowing.
-			flushRun()
+		fwd = (fwd<<2 | kmer.Word(c)) & mask
+		rc = rc>>2 | comp[c&3]
+		if i < first {
+			continue
 		}
-		prevKmerPos = pos
-		idx++
-
-		// Evict candidates that left the window. Within a contiguous
-		// run, k-mer index and sequence position advance in lockstep,
-		// so the window [idx-w+1, idx] corresponds to start positions
-		// ≥ pos-w+1.
-		for head < len(deque) && int(deque[head].pos) < pos-p.W+1 {
-			head++
+		canon := fwd
+		if rc < canon {
+			canon = rc
 		}
-		// Maintain monotonicity: pop strictly-larger candidates from
-		// the back. Using > keeps the leftmost occurrence of ties,
-		// matching "smallest, first occurring" choice.
 		key := p.rank(canon)
-		for len(deque) > head && deque[len(deque)-1].key > key {
-			deque = deque[:len(deque)-1]
+		cur := entry{key: key, word: canon, end: int32(i), fwdIsCanon: fwd == canon}
+		ring[slot] = cur
+		slot++
+		if slot == w {
+			slot = 0
 		}
-		deque = append(deque, entry{key, canon, int32(pos), fwd == canon})
-		// Compact the slice occasionally so head doesn't grow without bound.
-		if head > 64 && head*2 > len(deque) {
-			n := copy(deque, deque[head:])
-			deque = deque[:n]
-			head = 0
-		}
-
-		if idx >= p.W-1 {
-			min := deque[head]
-			// Emit when the minimizer changes or re-occurs at a new
-			// position (the previous one went out of bounds).
-			if min.pos != lastPos {
-				dst = append(dst, Tuple{Kmer: min.word, Pos: min.pos, FwdIsCanon: min.fwdIsCanon})
-				lastPos = min.pos
+		// The run's first window is complete at i == first+w-1.
+		if i == first || key < min.key {
+			min = cur
+			expire = i + w
+			if i < first+w-1 {
+				continue
 			}
+		} else if i == expire {
+			// Rescan the ring from its oldest entry, now at slot.
+			m := slot
+			for j := slot + 1; j < w; j++ {
+				if ring[j].key < ring[m].key {
+					m = j
+				}
+			}
+			for j := 0; j < slot; j++ {
+				if ring[j].key < ring[m].key {
+					m = j
+				}
+			}
+			min = ring[m]
+			expire = int(min.end) + w
+		} else if i != first+w-1 {
+			continue
+		}
+		// The minimum changed, or the run's first window is complete.
+		if min.end != lastEnd {
+			dst = append(dst, Tuple{Kmer: min.word, Pos: min.end - int32(k-1), FwdIsCanon: min.fwdIsCanon})
+			lastEnd = min.end
 		}
 	}
 	return dst

@@ -68,6 +68,8 @@ type Reader struct {
 	br     *bufio.Reader
 	format Format
 	line   int
+	// long accumulates a line longer than br's buffer.
+	long []byte
 	// Strict causes Read to fail on ambiguous (non-ACGT) bases. When
 	// false (the default) such bases are preserved verbatim.
 	Strict bool
@@ -144,9 +146,20 @@ func splitHeader(line string) (id, desc string) {
 	return line, ""
 }
 
-// readLine reads one line, stripping the trailing newline and CR.
+// readLine reads one line, stripping the trailing newline and CR. The
+// line aliases the reader's buffers and is valid only until the next
+// read: callers copy what they keep.
 func (r *Reader) readLine() ([]byte, error) {
-	line, err := r.br.ReadBytes('\n')
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// A line longer than the buffer: accumulate it.
+		r.long = append(r.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.br.ReadSlice('\n')
+			r.long = append(r.long, line...)
+		}
+		line = r.long
+	}
 	if len(line) > 0 {
 		r.line++
 		line = bytes.TrimRight(line, "\r\n")
@@ -287,6 +300,17 @@ func (r *Reader) readFASTQ() (Record, error) {
 	if err == io.EOF && len(seqLine) == 0 {
 		return Record{}, truncated("sequence")
 	}
+	// The record's one copy: the sequence line, upper-cased, into a
+	// buffer that keeps room for the qualities behind it. seqLine
+	// aliases the reader's buffer, so the copy comes before the next
+	// readLine.
+	trimmed := bytes.TrimSpace(seqLine)
+	n := len(trimmed)
+	var buf []byte
+	if n > 0 {
+		buf = make([]byte, n, 2*n)
+		upperInto(buf, trimmed)
+	}
 	plus, err := r.readLine()
 	if err != nil && err != io.EOF {
 		return Record{}, err
@@ -304,12 +328,15 @@ func (r *Reader) readFASTQ() (Record, error) {
 	if err == io.EOF && len(qualLine) == 0 {
 		return Record{}, truncated("quality")
 	}
-	rec.Seq = Upper(append([]byte(nil), bytes.TrimSpace(seqLine)...))
-	rec.Qual = append([]byte(nil), bytes.TrimSpace(qualLine)...)
-	if len(rec.Qual) != len(rec.Seq) {
+	qual := bytes.TrimSpace(qualLine)
+	if len(qual) != n {
 		return Record{}, &RecordError{Line: r.line, ID: rec.ID,
-			Msg: fmt.Sprintf("qual length %d != seq length %d", len(rec.Qual), len(rec.Seq))}
+			Msg: fmt.Sprintf("qual length %d != seq length %d", len(qual), n)}
 	}
+	// The 3-index slice caps Seq so that appending to it reallocates
+	// instead of overwriting Qual.
+	rec.Seq = buf[:n:n]
+	rec.Qual = append(buf[n:n], qual...)
 	if err := r.check(rec); err != nil {
 		return Record{}, err
 	}

@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzReader asserts the parser never panics and that whatever it
-// accepts survives a write/re-read round trip.
+// FuzzReader asserts the parser never panics, that it returns the same
+// records, errors and line numbers as the frozen ReadBytes parser
+// (refReader), and that whatever it accepts survives a write/re-read
+// round trip.
 func FuzzReader(f *testing.F) {
 	f.Add([]byte(">r1 desc\nACGT\nACGT\n"))
 	f.Add([]byte("@q1\nACGT\n+\nIIII\n"))
@@ -15,7 +17,9 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("\n\n>x\nNNNN\n"))
 	f.Add([]byte(">a\nacgt\n>b\nTTTT"))
 	f.Add([]byte{0, '>', 0xFF, '\n'})
+	f.Add([]byte("@q d\r\nacgtN\r\n+\r\nIIIII\r\n@r\nAC\n+\nI\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		diffParse(t, data)
 		recs, err := NewReader(bytes.NewReader(data)).ReadAll()
 		if err != nil {
 			return

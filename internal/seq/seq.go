@@ -93,6 +93,17 @@ func Upper(s []byte) []byte {
 	return s
 }
 
+// upperInto copies src into dst (len(dst) ≥ len(src)) upper-casing as
+// Upper does.
+func upperInto(dst, src []byte) {
+	for i, b := range src {
+		if b >= 'a' && b <= 'z' {
+			b -= 'a' - 'A'
+		}
+		dst[i] = b
+	}
+}
+
 // IsValid reports whether every byte of s is an unambiguous DNA base.
 func IsValid(s []byte) bool {
 	for _, b := range s {

@@ -51,8 +51,9 @@ func (p Params) Validate() error {
 }
 
 // Sketcher turns sequences into JEM sketches. It is safe for
-// concurrent use: all state is immutable after construction except the
-// scratch buffers, which live in per-call stack frames.
+// concurrent use: all state is immutable after construction, and
+// scratch buffers live in per-call frames or in a caller-owned
+// QueryScratch.
 type Sketcher struct {
 	p  Params
 	mp minimizer.Params
@@ -223,40 +224,68 @@ func (s *Sketcher) subjectSketchNaive(sequence []byte) [][]kmer.Word {
 	return out
 }
 
-// QuerySketch sketches a query end segment. A query is at most ℓ bases
-// long, so its minimizer list forms a single interval: the sketch is
-// exactly one word per trial — the k-mer minimizing h_t over all query
-// minimizers. It returns nil when the segment yields no minimizers
-// (e.g. shorter than k+w-1 bases or all-ambiguous).
+// QueryScratch is the reusable state of query sketching: the
+// minimizer extractor's window ring, the segment's minimizer tuples and
+// the T sketch words with their positions. A mapping session owns one,
+// so sketching a segment allocates nothing once the buffers have
+// grown. The zero value is ready to use; a QueryScratch is not safe for
+// concurrent use.
+type QueryScratch struct {
+	ext    minimizer.Extractor
+	tuples []minimizer.Tuple
+	words  []kmer.Word
+	pos    []int32
+}
+
+// SketchQuery sketches a query end segment into sc. A query is at most
+// ℓ bases long, so its minimizer list forms a single interval: the
+// sketch is exactly one word per trial — the k-mer minimizing h_t over
+// all query minimizers — plus that k-mer's position on the segment,
+// which positional hits use for target-anchor − query-position offset
+// votes. Both slices alias sc and stay valid until sc's next use; both
+// are nil when the segment yields no minimizers (e.g. shorter than
+// k+w-1 bases or all-ambiguous).
+//
+//jem:hotpath
+func (s *Sketcher) SketchQuery(sc *QueryScratch, segment []byte) ([]kmer.Word, []int32) {
+	sc.tuples = sc.ext.AppendExtract(sc.tuples[:0], segment, s.mp)
+	return s.querySketchTuples(sc, sc.tuples)
+}
+
+// QuerySketch is SketchQuery's words in freshly allocated storage.
 func (s *Sketcher) QuerySketch(segment []byte) []kmer.Word {
-	tuples := minimizer.Extract(segment, s.mp)
-	return s.QuerySketchTuples(tuples)
+	var sc QueryScratch
+	words, _ := s.SketchQuery(&sc, segment)
+	return words
+}
+
+// QuerySketchPositional is SketchQuery in freshly allocated storage.
+func (s *Sketcher) QuerySketchPositional(segment []byte) ([]kmer.Word, []int32) {
+	var sc QueryScratch
+	return s.SketchQuery(&sc, segment)
 }
 
 // QuerySketchTuples is QuerySketch over a pre-extracted minimizer list.
 func (s *Sketcher) QuerySketchTuples(tuples []minimizer.Tuple) []kmer.Word {
-	words, _ := s.querySketchTuples(tuples)
+	var sc QueryScratch
+	words, _ := s.querySketchTuples(&sc, tuples)
 	return words
 }
 
-// QuerySketchPositional is QuerySketch plus, per trial, the position
-// on the segment of the selected sketch k-mer. Positional hits use
-// target-anchor − query-position offset votes to localize a mapping.
-func (s *Sketcher) QuerySketchPositional(segment []byte) ([]kmer.Word, []int32) {
-	return s.querySketchTuples(minimizer.Extract(segment, s.mp))
-}
-
 // querySketchTuples is the query-sketch inner loop: per trial, one
-// linear minimum over the segment's minimizers.
+// linear minimum over the segment's minimizers, written into sc.
 //
 //jem:hotpath
-func (s *Sketcher) querySketchTuples(tuples []minimizer.Tuple) ([]kmer.Word, []int32) {
+func (s *Sketcher) querySketchTuples(sc *QueryScratch, tuples []minimizer.Tuple) ([]kmer.Word, []int32) {
 	if len(tuples) == 0 {
 		return nil, nil
 	}
-	out := make([]kmer.Word, s.p.T)
-	pos := make([]int32, s.p.T)
-	for t := 0; t < s.p.T; t++ {
+	if cap(sc.words) < s.p.T {
+		sc.words = make([]kmer.Word, s.p.T)
+		sc.pos = make([]int32, s.p.T)
+	}
+	out, pos := sc.words[:s.p.T], sc.pos[:s.p.T]
+	for t := range out {
 		// Seed from the first tuple, not a ⟨max,max⟩ sentinel: a
 		// sentinel is never replaced when every candidate ties it
 		// exactly (possible with a degenerate hash family), which left

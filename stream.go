@@ -499,10 +499,10 @@ func (m *Mapper) drainStreamResults(run *runScope, w io.Writer, results <-chan s
 // appendSegmentMappings maps both end segments of one read and
 // appends their Mappings.
 func (m *Mapper) appendSegmentMappings(out []Mapping, sess *core.Session, readIndex int, rec Record) []Mapping {
-	segs, kinds := core.EndSegments(rec.Seq, m.opts.SegmentLen)
-	for si, seg := range segs {
+	segs, n := core.EndSegmentPair(rec.Seq, m.opts.SegmentLen)
+	for si, seg := range segs[:n] {
 		mp := Mapping{ReadIndex: readIndex, ReadID: rec.ID, End: PrefixEnd}
-		if kinds[si] == core.Suffix {
+		if si == 1 {
 			mp.End = SuffixEnd
 		}
 		if hit, ok := sess.MapSegment(seg); ok {
